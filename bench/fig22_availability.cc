@@ -7,10 +7,11 @@
  * Each row puts a fig21 service tape (96 requests, Zipf keys) through a
  * seeded fault::FailureSchedule: an initial power failure at 60% of the
  * crash-free run, then the schedule's drain interrupts, recovery
- * re-entries and post-recovery exec failures, exactly as the fuzz storm
- * campaign replays them. Every boot is recovered with
- * System::recoverChecked (a fault-free image must never be classified
- * unrecoverable) and probed for MTTR on a throwaway replica —
+ * re-entries and post-recovery exec failures, played out by
+ * core::recoverThroughStorm exactly as the fuzz storm campaign replays
+ * them. Every boot is recovered with System::recoverChecked (a
+ * fault-free image must never be classified unrecoverable) and probed
+ * for MTTR on a throwaway replica —
  * System::recover + runUntilWordChanges on the serve counter, the fig20
  * measurement — while the real lineage machine runs on into the next
  * failure. Availability is goldenCycles / wallCycles: the crash-free
@@ -30,10 +31,12 @@
 #include <chrono>
 #include <fstream>
 #include <iomanip>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
 #include "bench_util.hh"
+#include "core/storm_walk.hh"
 #include "core/system.hh"
 #include "fault/storm.hh"
 #include "pds/pds.hh"
@@ -114,62 +117,26 @@ main(int argc, char **argv)
         p.storm = fault::FailureSchedule::random(
             0xf22u + 7919u * static_cast<std::uint64_t>(i), kStormEvents,
             gres.cycles / 4 + 1);
-        std::size_t stormIdx = 0;
-        auto takeDrains = [&p, &stormIdx] {
-            std::vector<unsigned> iters;
-            while (stormIdx < p.storm.events.size() &&
-                   p.storm.events[stormIdx].phase ==
-                       fault::FailurePhase::Drain) {
-                iters.push_back(static_cast<unsigned>(
-                    p.storm.events[stormIdx].at));
-                ++stormIdx;
-            }
-            return iters;
-        };
-
+        std::size_t pos = 0;
         core::System victim(cfg, prog, 1);
         auto vr = victim.runWithFailureStorm(gres.cycles * 6 / 10,
-                                             takeDrains());
+                                             p.storm.takeDrains(pos));
         LWSP_ASSERT(!vr.completed, "fig22 victim outran its failure: ",
                     wl.spec.toString());
-        p.wallCycles += vr.cycles;
-        p.failures = 1 + static_cast<unsigned>(stormIdx);
 
-        // Loop-head invariant: *cur is a crashed machine whose PM image
-        // is the one to recover from.
-        const core::System *cur = &victim;
-        std::unique_ptr<core::System> hold;
-        while (true) {
-            auto recres = core::System::recoverChecked(
-                cfg, prog, 1, cur->pmImage(), {}, &cur->crashReport());
-            ++p.boots;
-            while (stormIdx < p.storm.events.size() &&
-                   p.storm.events[stormIdx].phase ==
-                       fault::FailurePhase::Recovery) {
-                ++stormIdx;
-                ++p.failures;
-                auto retry = core::System::recoverChecked(
-                    cfg, prog, 1, cur->pmImage(), {},
-                    &cur->crashReport());
-                ++p.boots;
-                LWSP_ASSERT(retry.outcome == recres.outcome,
-                            "fig22 recovery re-entry changed verdict: ",
-                            core::recoveryOutcomeName(recres.outcome),
-                            " -> ",
-                            core::recoveryOutcomeName(retry.outcome));
-                recres = std::move(retry);
-            }
-            LWSP_ASSERT(recres.outcome !=
+        // MTTR probe at every boot: a throwaway replica recovered from
+        // the same image, run until the serve counter first moves. Late
+        // crashes may leave nothing to serve; then there is no sample
+        // (MTTR of a finished tape is not defined).
+        core::StormHooks hooks;
+        hooks.onBoot = [&](const core::System &crashed,
+                           const core::RecoveryResult &verdict, unsigned) {
+            LWSP_ASSERT(verdict.outcome !=
                             core::RecoveryOutcome::DetectedUnrecoverable,
                         "fig22 fault-free image unrecoverable: ",
-                        recres.detail);
-
-            // MTTR probe: a throwaway replica recovered from the same
-            // image, run until the serve counter first moves. Late
-            // crashes may leave nothing to serve; then there is no
-            // sample (MTTR of a finished tape is not defined).
+                        verdict.detail);
             auto probeSys = core::System::recover(cfg, prog, 1,
-                                                  cur->pmImage(), {});
+                                                  crashed.pmImage(), {});
             std::uint64_t servedAtBoot =
                 probeSys->execImage().read(params.served);
             auto probe = probeSys->runUntilWordChanges(params.served,
@@ -179,36 +146,18 @@ main(int argc, char **argv)
                 p.mttrSum += probe.serveTick;
                 p.mttrMax = std::max(p.mttrMax, probe.serveTick);
             }
-
-            // All uses of *cur are done; the move below may destroy the
-            // machine it points into.
-            hold = std::move(recres.sys);
-            cur = nullptr;
-            if (stormIdx < p.storm.events.size()) {
-                Tick gap = p.storm.events[stormIdx].at;
-                ++stormIdx;
-                ++p.failures;
-                auto er = hold->runWithFailureStorm(gap, takeDrains());
-                p.wallCycles += er.cycles;
-                if (er.completed) {
-                    // Finished before the failure landed; the schedule
-                    // tail is moot.
-                    p.failures = 1 + static_cast<unsigned>(stormIdx);
-                    break;
-                }
-                LWSP_ASSERT(hold->crashed(),
-                            "fig22 exec round neither completed nor "
-                            "crashed");
-                cur = hold.get();
-                continue;
-            }
-            auto fr = hold->run();
-            p.wallCycles += fr.cycles;
-            LWSP_ASSERT(fr.completed, "fig22 final boot did not complete");
-            break;
-        }
-        std::string err =
-            pds::checkSemantics(wl.pdsSpec, wl.ops, hold->execImage());
+        };
+        auto walk = core::recoverThroughStorm(victim, cfg, prog, 1, {},
+                                              p.storm, pos, hooks);
+        LWSP_ASSERT(walk.error.empty(), "fig22 storm: ", walk.error);
+        LWSP_ASSERT(walk.result.completed,
+                    "fig22 final boot did not complete");
+        p.failures = walk.failures;
+        p.boots = walk.boots();
+        p.wallCycles = std::accumulate(walk.segmentCycles.begin(),
+                                       walk.segmentCycles.end(), vr.cycles);
+        std::string err = pds::checkSemantics(wl.pdsSpec, wl.ops,
+                                              walk.sys->execImage());
         LWSP_ASSERT(err.empty(), "fig22 semantic check failed: ", err);
     });
 

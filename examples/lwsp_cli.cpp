@@ -46,6 +46,7 @@
 
 #include "analysis/wsp_checker.hh"
 #include "compiler/compiler.hh"
+#include "core/storm_walk.hh"
 #include "core/system.hh"
 #include "fault/storm.hh"
 #include "harness/runner.hh"
@@ -329,25 +330,11 @@ cmdCrash(const std::string &app, double fraction,
         rcfg.faults.hardenedCkpt = true;
     }
 
-    // Schedule cursor: runs of consecutive Drain events become the
-    // interrupt budgets of whichever crash drain comes next.
-    std::size_t stormIdx = 0;
-    auto takeDrains = [&storm, &stormIdx] {
-        std::vector<unsigned> iters;
-        while (stormIdx < storm.events.size() &&
-               storm.events[stormIdx].phase ==
-                   fault::FailurePhase::Drain) {
-            iters.push_back(static_cast<unsigned>(
-                storm.events[stormIdx].at));
-            ++stormIdx;
-        }
-        return iters;
-    };
-
+    std::size_t pos = 0;
     core::System victim(vcfg, prog, profile.threads);
     auto vr = victim.runWithFailureStorm(
         static_cast<Tick>(fraction * static_cast<double>(gr.cycles)),
-        takeDrains());
+        storm.takeDrains(pos));
     if (vr.completed) {
         std::printf("program finished before the failure point\n");
         return 0;
@@ -369,84 +356,54 @@ cmdCrash(const std::string &app, double fraction,
                         cr.truncationHazard ? " (truncation hazard)" : "");
     }
 
-    // Crash/recover rounds through the rest of the schedule. Loop-head
-    // invariant: *cur is a crashed machine whose image we recover from.
-    const core::System *cur = &victim;
-    std::unique_ptr<core::System> sys;
-    core::RunResult rr;
-    while (true) {
-        auto recres = core::System::recoverChecked(
-            rcfg, prog, profile.threads, cur->pmImage(), lock_addrs,
-            &cur->crashReport());
-        // Recovery-phase failures: power died during the preamble, so
-        // the retry re-validates the same image and must agree.
-        while (stormIdx < storm.events.size() &&
-               storm.events[stormIdx].phase ==
-                   fault::FailurePhase::Recovery) {
-            ++stormIdx;
-            auto retry = core::System::recoverChecked(
-                rcfg, prog, profile.threads, cur->pmImage(), lock_addrs,
-                &cur->crashReport());
+    core::StormHooks hooks;
+    hooks.onBoot = [](const core::System &,
+                      const core::RecoveryResult &verdict,
+                      unsigned reentries) {
+        for (unsigned i = 0; i < reentries; ++i)
             std::printf("storm         recovery re-entered\n");
-            if (retry.outcome != recres.outcome) {
-                std::printf("verdict       CHANGED on re-entry: "
-                            "%s -> %s\n",
-                            core::recoveryOutcomeName(recres.outcome),
-                            core::recoveryOutcomeName(retry.outcome));
-                return 1;
-            }
-            recres = std::move(retry);
-        }
         std::printf("verdict       %s%s%s\n",
-                    core::recoveryOutcomeName(recres.outcome),
-                    recres.detail.empty() ? "" : ": ",
-                    recres.detail.c_str());
-        if (recres.outcome ==
-            core::RecoveryOutcome::DetectedUnrecoverable) {
-            return 3;
-        }
-        // All uses of *cur are done; the assignment below may destroy
-        // the machine it points into.
-        sys = std::move(recres.sys);
-        cur = nullptr;
-        sys->setRecoveryLineage(recres.outcome,
-                                1 + static_cast<unsigned>(stormIdx));
-        if (stormIdx >= storm.events.size()) {
-            rr = sys->run();
-            break;
-        }
-        Tick gap = storm.events[stormIdx].at;
-        ++stormIdx;
-        rr = sys->runWithFailureStorm(gap, takeDrains());
-        if (rr.completed) {
-            std::printf("storm         finished before the next "
-                        "failure landed\n");
-            break;
-        }
-        if (!sys->crashed()) {
-            std::printf("storm         neither completed nor crashed\n");
-            return 1;
-        }
-        std::printf("crashed again at cycle %llu; recovering...\n",
-                    static_cast<unsigned long long>(rr.cycles));
-        cur = sys.get();
+                    core::recoveryOutcomeName(verdict.outcome),
+                    verdict.detail.empty() ? "" : ": ",
+                    verdict.detail.c_str());
+    };
+    hooks.afterSegment = [](core::System &sys,
+                            const core::RunResult &seg) -> std::string {
+        if (!seg.completed && sys.crashed())
+            std::printf("crashed again at cycle %llu; recovering...\n",
+                        static_cast<unsigned long long>(seg.cycles));
+        return {};
+    };
+    auto walk = core::recoverThroughStorm(victim, rcfg, prog,
+                                          profile.threads, lock_addrs,
+                                          storm, pos, hooks);
+    if (!walk.error.empty()) {
+        std::printf("storm         %s\n", walk.error.c_str());
+        return 1;
     }
+    if (walk.outcome == core::RecoveryOutcome::DetectedUnrecoverable)
+        return 3;
+    const core::System &sys = *walk.sys;
+    const core::RunResult &rr = walk.result;
+    if (rr.completed && walk.failures < 1 + storm.size())
+        std::printf("storm         finished before the next failure "
+                    "landed\n");
 
     Addr lo = workloads::Workload::heapBase;
     Addr hi = lo + static_cast<Addr>(profile.threads) *
                        profile.footprintBytes;
     bool ok = rr.completed &&
-              sys->pmImage().diffInRange(golden.pmImage(), lo, hi).empty();
+              sys.pmImage().diffInRange(golden.pmImage(), lo, hi).empty();
     if (!storm.empty())
         std::printf("storm         survived %u power failures (%s)\n",
-                    sys->failuresSurvived(), storm.toString().c_str());
+                    sys.failuresSurvived(), storm.toString().c_str());
     std::printf("recovery %s: application state %s the crash-free run\n",
                 rr.completed ? "completed" : "DID NOT COMPLETE",
                 ok ? "matches" : "DIFFERS from");
 
     if (!stats_json.empty()) {
         stats::Registry reg;
-        sys->registerStats(reg);
+        sys.registerStats(reg);
         std::ofstream os(stats_json);
         if (!os) {
             std::fprintf(stderr, "cannot write stats to %s\n",

@@ -349,12 +349,6 @@ System::runWithPowerFailure(Tick fail_at)
 }
 
 RunResult
-System::runWithDoubleFailureDuringDrain(Tick fail_at, unsigned drain_iters)
-{
-    return runWithFailureStorm(fail_at, {drain_iters});
-}
-
-RunResult
 System::runWithFailureStorm(Tick fail_at,
                             const std::vector<unsigned> &drain_interrupts)
 {
@@ -753,8 +747,8 @@ System::recoverChecked(const SystemConfig &cfg,
                            : RecoveryOutcome::Recovered;
     if (degraded)
         res.detail = "resumed from an older persisted epoch";
-    // Default lineage: one failure survived. Storm orchestrators that
-    // chain multiple crash/recover rounds overwrite the running total.
+    // Default lineage: one failure survived. The storm walker, which
+    // chains crash/recover rounds, overwrites the running total.
     res.sys->setRecoveryLineage(res.outcome, 1);
     trace::emitIf<trace::Category::Power>(
         res.sys->traceSink_.get(),

@@ -19,6 +19,33 @@ failurePhaseName(FailurePhase p)
     return "<bad>";
 }
 
+std::vector<unsigned>
+FailureSchedule::takeDrains(std::size_t &pos) const
+{
+    std::vector<unsigned> iters;
+    while (pos < events.size() && events[pos].phase == FailurePhase::Drain)
+        iters.push_back(static_cast<unsigned>(events[pos++].at));
+    return iters;
+}
+
+FailureSchedule
+FailureSchedule::without(std::size_t i) const
+{
+    FailureSchedule s = *this;
+    s.events.erase(s.events.begin() + static_cast<std::ptrdiff_t>(i));
+    return s;
+}
+
+bool
+FailureSchedule::halveExecGap(std::size_t i)
+{
+    FailureEvent &e = events.at(i);
+    if (e.phase != FailurePhase::Exec || e.at <= 1)
+        return false;
+    e.at /= 2;
+    return true;
+}
+
 std::string
 FailureSchedule::toString() const
 {

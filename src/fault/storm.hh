@@ -28,6 +28,12 @@
  * `r`, or `x<N>` (e.g. "d1+r+x1500+d0"). `toString()` is canonical and
  * `parse(toString())` is the identity, the same fixpoint contract as
  * `FaultConfig` specs.
+ *
+ * Only core::recoverThroughStorm (core/storm_walk.hh) interprets a
+ * schedule: every tool that replays one — the fuzz campaign's crash
+ * modes, the recovery matrix, fig22 and `lwsp_cli crash` — runs its
+ * victim into the first failure with `takeDrains` and hands the rest of
+ * the schedule to that walker.
  */
 
 #ifndef LWSP_FAULT_STORM_HH
@@ -84,11 +90,21 @@ struct FailureSchedule
         return events == o.events;
     }
 
-    /** Total failures the schedule injects on top of the initial one. */
-    unsigned extraFailures() const
-    {
-        return static_cast<unsigned>(events.size());
-    }
+    /**
+     * Schedule cursor: the run of consecutive Drain events starting at
+     * @p pos, as interrupt budgets for System::runWithFailureStorm.
+     * Advances @p pos past them.
+     */
+    std::vector<unsigned> takeDrains(std::size_t &pos) const;
+
+    /** Copy without event @p i (storm shrinking). */
+    FailureSchedule without(std::size_t i) const;
+
+    /**
+     * Halve event @p i's gap if it is an Exec event with a gap above 1
+     * (storm shrinking). @return false (and no change) otherwise.
+     */
+    bool halveExecGap(std::size_t i);
 
     /** Canonical '+'-joined form ("d1+r+x1500"); "" when empty. */
     std::string toString() const;

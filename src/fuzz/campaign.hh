@@ -105,6 +105,13 @@ struct CaseSpec
     unsigned mcs = 0;
     noc::TopologyConfig topo;
 
+    /**
+     * The failures after the first, as a schedule: Single → "",
+     * DoubleDrain → d<drainIters>, DoubleRecovery → x<crashAt2>,
+     * Storm → storm (None, a full campaign, has no schedule).
+     */
+    fault::FailureSchedule schedule() const;
+
     std::string toString() const;
     /** Parse a spec string; on failure @p err explains why. */
     static bool parse(const std::string &s, CaseSpec &out,

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "compiler/compiler.hh"
+#include "core/storm_walk.hh"
 #include "core/system.hh"
 #include "fuzz/random_workload.hh"
 #include "workloads/generator.hh"
@@ -236,71 +237,50 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
     if (!victim.crashed())
         return fail("victim neither completed nor crashed");
 
-    auto recoverFrom =
-        [&](const core::System &crashed,
-            std::unique_ptr<core::System> &out) -> std::string {
-        auto rr = core::System::recoverChecked(
-            b.cfg, b.prog, b.threads, crashed.pmImage(), b.lockAddrs,
-            &crashed.crashReport());
-        if (rr.outcome == core::RecoveryOutcome::DetectedUnrecoverable)
+    // One storm lifetime from the shared victim: recover, run the
+    // schedule (empty, or one failure t cycles into the recovered run),
+    // run out. @return "" or the failure; the lifetime lands in @p out.
+    auto walk = [&](const fault::FailureSchedule &sched,
+                    core::StormWalk &out) -> std::string {
+        out = core::recoverThroughStorm(victim, b.cfg, b.prog, b.threads,
+                                        b.lockAddrs, sched, 0);
+        res.runsExecuted +=
+            static_cast<unsigned>(out.segmentCycles.size());
+        res.recoveredExact += out.recoveredExact;
+        res.recoveredDegraded += out.recoveredDegraded;
+        if (!out.error.empty())
+            return out.error;
+        if (out.outcome == core::RecoveryOutcome::DetectedUnrecoverable)
             return "fault-free image classified unrecoverable: " +
-                   rr.detail;
-        if (rr.outcome == core::RecoveryOutcome::Recovered)
-            ++res.recoveredExact;
-        else
-            ++res.recoveredDegraded;
-        out = std::move(rr.sys);
+                   out.detail;
+        if (!out.result.completed)
+            return "recovered run did not complete (possible hang)";
         return {};
     };
 
     // Reference recovered run: its crash-free length R bounds the sweep.
-    std::unique_ptr<core::System> ref;
-    if (auto e = recoverFrom(victim, ref); !e.empty())
+    core::StormWalk ref;
+    if (auto e = walk({}, ref); !e.empty())
         return fail(e);
-    ++res.runsExecuted;
-    auto refr = ref->run();
-    if (!refr.completed)
-        return fail("recovered run did not complete (possible hang)");
-    res.recoveryCycles = refr.cycles;
-    if (auto e = finalCheck(*ref, golden, "recovered"); !e.empty())
+    res.recoveryCycles = ref.result.cycles;
+    if (auto e = finalCheck(*ref.sys, golden, "recovered"); !e.empty())
         return fail(e);
 
     // Crash the recovery run at every stride-th cycle of [0, R).
     Tick step = opt.step ? opt.step : 1;
     for (Tick t = 0; t < res.recoveryCycles; t += step) {
         ++res.pointsTried;
-        std::unique_ptr<core::System> rec;
-        if (auto e = recoverFrom(victim, rec); !e.empty())
-            return fail(e + " at t=" + std::to_string(t));
-        ++res.runsExecuted;
-        auto rr = rec->runWithPowerFailure(t);
-        if (rr.completed) {
-            // Engine fast-forward can land the completion check past t;
-            // the run is clean either way.
-            if (auto e = finalCheck(*rec, golden, "recovery(uncrashed)");
-                !e.empty()) {
-                return fail(e + " at t=" + std::to_string(t));
-            }
-            continue;
-        }
-        if (!rec->crashed())
-            return fail("recovery run neither completed nor crashed "
-                        "at t=" +
-                        std::to_string(t));
-        std::unique_ptr<core::System> rec2;
-        if (auto e = recoverFrom(*rec, rec2); !e.empty())
-            return fail(e + " at t=" + std::to_string(t));
-        ++res.runsExecuted;
-        auto r2 = rec2->run();
-        if (!r2.completed)
-            return fail("second recovery did not complete (possible "
-                        "hang) at t=" +
-                        std::to_string(t));
-        if (auto e = finalCheck(*rec2, golden, "second recovery");
-            !e.empty()) {
-            return fail(e + " (recovery crashed at t=" +
-                        std::to_string(t) + ")");
-        }
+        core::StormWalk w;
+        std::string at = " at t=" + std::to_string(t);
+        if (auto e = walk({{{fault::FailurePhase::Exec, t}}}, w);
+            !e.empty())
+            return fail(e + at);
+        // Engine fast-forward can land the completion check past t; the
+        // run is clean either way.
+        const char *what = w.failures > 1 ? "second recovery"
+                                          : "recovery(uncrashed)";
+        if (auto e = finalCheck(*w.sys, golden, what); !e.empty())
+            return fail(e + at);
     }
     return res;
 }

@@ -141,8 +141,11 @@ specKey(const RunSpec &spec)
 {
     // Fold each optional to the value the config/compile path derives
     // from an unset field (see makeConfig/prepareProgram), so explicit
-    // defaults share the unset point's cache entry.
-    const auto &profile = workloads::profileByName(spec.workload);
+    // defaults share the unset point's cache entry. Run reports also key
+    // records that name no paper profile (serve tapes, storm lifetimes,
+    // fabric rows); their unset thread count folds to 0.
+    const workloads::WorkloadProfile *profile =
+        workloads::findProfile(spec.workload);
     unsigned wpq = spec.wpqEntries.value_or(64);
     unsigned threshold =
         core::schemeUsesCompiledBinary(spec.scheme)
@@ -153,7 +156,7 @@ specKey(const RunSpec &spec)
        << wpq << '/' << threshold << '/'
        << (spec.victimPolicy ? static_cast<int>(*spec.victimPolicy) : -1)
        << '/' << spec.persistPathGBps.value_or(4.0) << '/'
-       << spec.threads.value_or(profile.threads) << '/'
+       << spec.threads.value_or(profile ? profile->threads : 0) << '/'
        << spec.pmReadCycles.value_or(350) << '/'
        << spec.pmWriteCycles.value_or(180) << '/'
        << spec.extraPathLatency.value_or(0) << '/'

@@ -82,6 +82,9 @@ const std::vector<WorkloadProfile> &paperProfiles();
 /** Lookup by name; fatal() if unknown. */
 const WorkloadProfile &profileByName(const std::string &name);
 
+/** Lookup by name; null if unknown. */
+const WorkloadProfile *findProfile(const std::string &name);
+
 /** Names of the memory-intensive subset used in Fig. 9. */
 const std::vector<std::string> &memoryIntensiveNames();
 

@@ -165,11 +165,19 @@ paperProfiles()
 const WorkloadProfile &
 profileByName(const std::string &name)
 {
+    if (const WorkloadProfile *p = findProfile(name))
+        return *p;
+    fatal("unknown workload profile '", name, "'");
+}
+
+const WorkloadProfile *
+findProfile(const std::string &name)
+{
     for (const auto &p : paperProfiles()) {
         if (p.name == name)
-            return p;
+            return &p;
     }
-    fatal("unknown workload profile '", name, "'");
+    return nullptr;
 }
 
 const std::vector<std::string> &

@@ -268,8 +268,7 @@ TEST(CrashRecovery, DoubleFailureDuringDrainRecovers)
             SCOPED_TRACE("f=" + std::to_string(f) +
                          " drain_iters=" + std::to_string(iters));
             core::System victim(cfg, prog, c.threads);
-            auto vr =
-                victim.runWithDoubleFailureDuringDrain(fail_at, iters);
+            auto vr = victim.runWithFailureStorm(fail_at, {iters});
             ASSERT_FALSE(vr.completed);
             ASSERT_TRUE(victim.crashed());
             expectOracleClean(victim, "double-failure victim");

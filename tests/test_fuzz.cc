@@ -188,3 +188,25 @@ TEST(FuzzCampaign, FaultInjectionIsCaughtShrunkAndReplayable)
     auto clean = runCampaign(replay);
     EXPECT_TRUE(clean.passed) << clean.failure;
 }
+
+// A double-recovery point whose second failure lands past the end of the
+// recovered run never fires that failure: the point survived exactly
+// one power failure, not two.
+TEST(FuzzCampaign, DoubleRecoveryPastTheEndSurvivesOneFailure)
+{
+    setLogQuiet(true);
+    CaseSpec probe = parseOk("lwsp-fuzz:v1:wl:seed=3:shrink=2:mode=single"
+                             ":crash=0");
+    auto golden = runCampaign(probe);
+    ASSERT_TRUE(golden.passed) << golden.failure;
+    ASSERT_GT(golden.goldenCycles, 2u);
+
+    CaseSpec spec = parseOk(
+        "lwsp-fuzz:v1:wl:seed=3:shrink=2:mode=dbl-rec:crash=" +
+        std::to_string(golden.goldenCycles / 2) +
+        ":crash2=" + std::to_string(golden.goldenCycles * 10));
+    auto res = runCampaign(spec);
+    EXPECT_TRUE(res.passed) << res.failure;
+    EXPECT_EQ(res.recoveredExact + res.recoveredDegraded, 1u);
+    EXPECT_EQ(res.failuresSurvived, 1u);
+}

@@ -16,12 +16,15 @@
  *    replayed prefix is idempotent).
  *  - Storm chains are engine-independent: the event-driven and
  *    cycle-stepped cores produce bit-identical storm lifetimes.
+ *  - The storm walker reproduces each campaign crash mode's explicit
+ *    crash/recover call sequence bit for bit.
  *  - One reduced crash-at-every-Nth-cycle-of-recovery matrix case and a
  *    small seeded storm campaign run clean end to end.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/storm_walk.hh"
 #include "core/system.hh"
 #include "fault/storm.hh"
 #include "fuzz/campaign.hh"
@@ -307,59 +310,23 @@ TEST(Storm, EngineABBitIdentity)
         auto gres = golden.run();
         std::vector<Tick> segs{gres.cycles};
 
-        std::size_t idx = 0;
-        auto takeDrains = [&] {
-            std::vector<unsigned> iters;
-            while (idx < storm.events.size() &&
-                   storm.events[idx].phase == fault::FailurePhase::Drain)
-                iters.push_back(
-                    static_cast<unsigned>(storm.events[idx++].at));
-            return iters;
-        };
-
+        std::size_t pos = 0;
         core::System victim(b.cfg, b.prog, 1);
         auto vr = victim.runWithFailureStorm(gres.cycles / 2,
-                                             takeDrains());
+                                             storm.takeDrains(pos));
         EXPECT_FALSE(vr.completed);
         segs.push_back(vr.cycles);
 
-        const core::System *cur = &victim;
-        std::unique_ptr<core::System> hold;
-        while (true) {
-            auto rec = core::System::recoverChecked(
-                b.cfg, b.prog, 1, cur->pmImage(), {},
-                &cur->crashReport());
-            while (idx < storm.events.size() &&
-                   storm.events[idx].phase ==
-                       fault::FailurePhase::Recovery) {
-                ++idx;
-                auto retry = core::System::recoverChecked(
-                    b.cfg, b.prog, 1, cur->pmImage(), {},
-                    &cur->crashReport());
-                EXPECT_EQ(retry.outcome, rec.outcome);
-                rec = std::move(retry);
-            }
-            EXPECT_NE(rec.outcome,
-                      core::RecoveryOutcome::DetectedUnrecoverable);
-            hold = std::move(rec.sys);
-            cur = nullptr;
-            if (idx < storm.events.size()) {
-                Tick gap = storm.events[idx++].at;
-                auto er = hold->runWithFailureStorm(gap, takeDrains());
-                segs.push_back(er.cycles);
-                if (!er.completed) {
-                    cur = hold.get();
-                    continue;
-                }
-                break;
-            }
-            auto fr = hold->run();
-            segs.push_back(fr.cycles);
-            EXPECT_TRUE(fr.completed);
-            break;
-        }
-        EXPECT_EQ(pds::checkSemantics(spec, hold->execImage()), "");
-        final_img = hold->pmImage();
+        auto walk = core::recoverThroughStorm(victim, b.cfg, b.prog, 1,
+                                              {}, storm, pos);
+        EXPECT_EQ(walk.error, "");
+        EXPECT_NE(walk.outcome,
+                  core::RecoveryOutcome::DetectedUnrecoverable);
+        EXPECT_TRUE(walk.result.completed);
+        segs.insert(segs.end(), walk.segmentCycles.begin(),
+                    walk.segmentCycles.end());
+        EXPECT_EQ(pds::checkSemantics(spec, walk.sys->execImage()), "");
+        final_img = walk.sys->pmImage();
         return segs;
     };
 
@@ -368,6 +335,132 @@ TEST(Storm, EngineABBitIdentity)
     auto cycle_segs = lifetime(SimEngine::Cycle, cycle_img);
     EXPECT_EQ(event_segs, cycle_segs);
     EXPECT_TRUE(event_img.diffInRange(cycle_img, 0, ~Addr(0)).empty());
+}
+
+// Every campaign crash mode is a schedule for the walker: each mode's
+// explicit crash/recover call sequence, written out here as the
+// reference, and the walker fed CaseSpec::schedule() agree on segment
+// cycles, verdict tallies, failures survived and the final PM image.
+TEST(Storm, WalkerMatchesExplicitCrashModes)
+{
+    auto b = build(pds::PdsScheme::LightWsp, smallSpec(pds::Kind::Hash));
+    core::System golden(b.cfg, b.prog, 1);
+    auto gres = golden.run();
+    ASSERT_TRUE(gres.completed);
+    const Tick crash_at = gres.cycles / 2;
+    const Tick gap = gres.cycles / 8;
+
+    struct Lifetime
+    {
+        std::vector<Tick> segs;
+        unsigned exact = 0, degraded = 0, unrecoverable = 0;
+        unsigned failures = 0;
+        mem::MemImage img;
+    };
+    auto recover = [&](const core::System &from, Lifetime &life) {
+        auto rec = core::System::recoverChecked(
+            b.cfg, b.prog, 1, from.pmImage(), {}, &from.crashReport());
+        switch (rec.outcome) {
+          case core::RecoveryOutcome::Recovered: ++life.exact; break;
+          case core::RecoveryOutcome::RecoveredDegraded:
+            ++life.degraded;
+            break;
+          case core::RecoveryOutcome::DetectedUnrecoverable:
+            ++life.unrecoverable;
+            break;
+        }
+        EXPECT_NE(rec.sys, nullptr);
+        return std::move(rec.sys);
+    };
+    auto finish = [](core::System &sys, Lifetime &life) {
+        auto r = sys.run();
+        EXPECT_TRUE(r.completed);
+        life.segs.push_back(r.cycles);
+        life.img = sys.pmImage();
+    };
+
+    fuzz::CaseSpec pt;
+    pt.crashAt = crash_at;
+    pt.crashAt2 = gap;
+    pt.drainIters = 1;
+    std::string err;
+    ASSERT_TRUE(fault::FailureSchedule::parse(
+        "d1+r+x" + std::to_string(gap) + "+d0", pt.storm, err));
+
+    for (auto mode : {fuzz::CrashMode::Single, fuzz::CrashMode::DoubleDrain,
+                      fuzz::CrashMode::DoubleRecovery,
+                      fuzz::CrashMode::Storm}) {
+        pt.mode = mode;
+        SCOPED_TRACE(pt.toString());
+        core::System victim(b.cfg, b.prog, 1);
+        Lifetime ref;
+        switch (mode) {
+          case fuzz::CrashMode::Single: {
+            ref.segs.push_back(victim.runWithPowerFailure(crash_at).cycles);
+            finish(*recover(victim, ref), ref);
+            ref.failures = 1;
+            break;
+          }
+          case fuzz::CrashMode::DoubleDrain: {
+            ref.segs.push_back(
+                victim.runWithFailureStorm(crash_at, {1}).cycles);
+            finish(*recover(victim, ref), ref);
+            ref.failures = 2;
+            break;
+          }
+          case fuzz::CrashMode::DoubleRecovery: {
+            ref.segs.push_back(victim.runWithPowerFailure(crash_at).cycles);
+            auto rec = recover(victim, ref);
+            auto rr = rec->runWithPowerFailure(gap);
+            ASSERT_FALSE(rr.completed);
+            ref.segs.push_back(rr.cycles);
+            finish(*recover(*rec, ref), ref);
+            ref.failures = 2;
+            break;
+          }
+          case fuzz::CrashMode::Storm: {
+            ref.segs.push_back(
+                victim.runWithFailureStorm(crash_at, {1}).cycles);
+            recover(victim, ref);  // killed by the `r` event
+            auto rec = recover(victim, ref);
+            auto rr = rec->runWithFailureStorm(gap, {0});
+            ASSERT_FALSE(rr.completed);
+            ref.segs.push_back(rr.cycles);
+            finish(*recover(*rec, ref), ref);
+            ref.failures = 5;
+            break;
+          }
+          case fuzz::CrashMode::None:
+            break;
+        }
+
+        fault::FailureSchedule sched = pt.schedule();
+        std::size_t pos = 0;
+        core::System wvictim(b.cfg, b.prog, 1);
+        Lifetime got;
+        got.segs.push_back(
+            wvictim.runWithFailureStorm(crash_at, sched.takeDrains(pos))
+                .cycles);
+        auto walk = core::recoverThroughStorm(wvictim, b.cfg, b.prog, 1,
+                                              {}, sched, pos);
+        ASSERT_EQ(walk.error, "");
+        ASSERT_TRUE(walk.result.completed);
+        got.segs.insert(got.segs.end(), walk.segmentCycles.begin(),
+                        walk.segmentCycles.end());
+        got.exact = walk.recoveredExact;
+        got.degraded = walk.recoveredDegraded;
+        got.unrecoverable = walk.detectedUnrecoverable;
+        got.failures = walk.failures;
+        got.img = walk.sys->pmImage();
+        EXPECT_EQ(walk.sys->failuresSurvived(), walk.failures);
+
+        EXPECT_EQ(got.segs, ref.segs);
+        EXPECT_EQ(got.exact, ref.exact);
+        EXPECT_EQ(got.degraded, ref.degraded);
+        EXPECT_EQ(got.unrecoverable, ref.unrecoverable);
+        EXPECT_EQ(got.failures, ref.failures);
+        EXPECT_TRUE(got.img.diffInRange(ref.img, 0, ~Addr(0)).empty());
+    }
 }
 
 // One reduced crash-at-every-Nth-cycle-of-recovery matrix case; the

@@ -17,6 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "common/logging.hh"
 #include "core/system.hh"
 #include "harness/runner.hh"
@@ -263,4 +266,25 @@ TEST(Sweep, ParallelForCoversAllIndicesAndRethrows)
                                      throw std::runtime_error("boom");
                              }),
         std::runtime_error);
+}
+
+// Run reports carry records whose workload names are not paper profiles
+// (fig22's storm lifetimes, fig23's fabric rows): writing one must not
+// abort on the profile lookup behind the record's key.
+TEST(Sweep, RunReportAcceptsNonProfileWorkloads)
+{
+    harness::RunRecord rec;
+    rec.spec.workload = "varnish/lightwsp+storm=x733+x2173+r";
+    rec.outcome.threads = 1;
+    rec.outcome.result.completed = true;
+    harness::SweepStats stats;
+    std::string path = testing::TempDir() + "nonprofile_report.json";
+    harness::writeRunReports(path, "test_sweep", {rec}, stats);
+
+    std::ifstream is(path);
+    std::stringstream json;
+    json << is.rdbuf();
+    EXPECT_NE(json.str().find("\"workload\":\"" + rec.spec.workload),
+              std::string::npos)
+        << json.str();
 }
