@@ -14,17 +14,22 @@
  *                     exists for A/B verification and perf comparison.
  *
  * Benches build a flat RunSpec list (row-major over the table) and hand
- * it to a SweepExecutor; results come back indexed by input order, so
- * tables and CSVs are byte-identical at any job count.
+ * it to a SweepExecutor, or — for points that are not paper profiles —
+ * sweep their own point grid through SweepExecutor::forEach; results
+ * come back indexed by input order, so tables and CSVs are
+ * byte-identical at any job count. Every bench ends in finish().
  */
 
 #ifndef LWSP_BENCH_BENCH_UTIL_HH
 #define LWSP_BENCH_BENCH_UTIL_HH
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -46,6 +51,17 @@ struct BenchArgs
     std::string benchName;      ///< argv[0] basename, for telemetry
 };
 
+/** Print the shared flag synopsis and exit 2 (bad command line). */
+[[noreturn]] inline void
+usage(const char *prog)
+{
+    std::cerr << "usage: " << prog
+              << " [--quick] [--csv FILE] [--jobs N]"
+                 " [--sweep-json FILE] [--report FILE]"
+                 " [--engine event|cycle]\n";
+    std::exit(2);
+}
+
 inline BenchArgs
 parseArgs(int argc, char **argv)
 {
@@ -61,8 +77,12 @@ parseArgs(int argc, char **argv)
         } else if (a == "--csv" && i + 1 < argc) {
             args.csvPath = argv[++i];
         } else if (a == "--jobs" && i + 1 < argc) {
-            args.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            // Plain decimal that fits an unsigned; 0 = all cores.
+            std::string_view v = argv[++i];
+            auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(),
+                                             args.jobs);
+            if (ec != std::errc() || end != v.data() + v.size())
+                usage(argv[0]);
         } else if (a == "--sweep-json" && i + 1 < argc) {
             args.sweepJsonPath = argv[++i];
         } else if (a == "--report" && i + 1 < argc) {
@@ -79,11 +99,7 @@ parseArgs(int argc, char **argv)
                 std::exit(2);
             }
         } else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--quick] [--csv FILE] [--jobs N]"
-                         " [--sweep-json FILE] [--report FILE]"
-                         " [--engine event|cycle]\n";
-            std::exit(2);
+            usage(argv[0]);
         }
     }
     setLogQuiet(true);
@@ -115,17 +131,46 @@ selectedProfiles(const BenchArgs &args)
     return out;
 }
 
+/**
+ * The run record of a point that is not a paper profile: @p workload is
+ * the spec string that regenerates its program, @p label the scheme as
+ * the bench names it, and @p res the run the point reports.
+ */
+inline harness::RunRecord
+pointRecord(const std::string &workload, const std::string &label,
+            const core::SystemConfig &cfg,
+            const compiler::CompiledProgram &prog,
+            const core::RunResult &res)
+{
+    harness::RunRecord rec;
+    rec.spec.workload = workload;
+    rec.spec.scheme = cfg.scheme;
+    rec.spec.numMcs = cfg.numMcs;
+    rec.spec.topology = cfg.topology;
+    rec.schemeLabel = label;
+    rec.outcome.result = res;
+    rec.outcome.compileStats = prog.stats;
+    rec.simulatedCycles = res.cycles;
+    return rec;
+}
+
+/**
+ * Print the table, then write what the flags asked for: @p csv (the
+ * bench's CSV text; benches with columns the table lacks build their
+ * own), the sweep telemetry and the run report of every point @p exec
+ * swept.
+ */
 inline void
-finish(const harness::ResultTable &table, const BenchArgs &args,
-       const harness::SweepExecutor &exec, bool per_app = true)
+finish(const harness::ResultTable &table, const std::string &csv,
+       const BenchArgs &args, const harness::SweepExecutor &exec,
+       bool per_app = true)
 {
     if (per_app)
         table.print(std::cout);
     else
         table.printSuiteSummary(std::cout);
     if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        table.writeCsv(csv);
+        std::ofstream(args.csvPath) << csv;
         std::cout << "csv written to " << args.csvPath << '\n';
     }
     if (!args.sweepJsonPath.empty()) {
@@ -137,6 +182,16 @@ finish(const harness::ResultTable &table, const BenchArgs &args,
                                  exec.runRecords(), exec.totalStats());
         std::cout << "run report written to " << args.reportPath << '\n';
     }
+}
+
+/** finish() with the table's own CSV. */
+inline void
+finish(const harness::ResultTable &table, const BenchArgs &args,
+       const harness::SweepExecutor &exec, bool per_app = true)
+{
+    std::ostringstream csv;
+    table.writeCsv(csv);
+    finish(table, csv.str(), args, exec, per_app);
 }
 
 } // namespace bench

@@ -9,21 +9,8 @@
  * cycles(scheme, Perf mode) / cycles(same program, persistence-free
  * baseline machine) — the same normalization as fig07, but over real
  * crash-consistent structures instead of the paper's synthetic kernels.
- *
- * The pds sweep does not go through SweepExecutor/Runner: those resolve
- * workloads by paper-profile name, and the pds programs are generated
- * IR, not profiles. The sweep here is a flat parallelFor over the
- * (structure x scheme) grid with results landing in input-indexed
- * slots, so the table/CSV stay byte-identical at any job count — same
- * contract, local implementation. Quick mode runs the identical grid
- * (it is already small); bench_all.sh row-subset checking then works
- * unchanged.
+ * Quick mode runs the identical grid (it is already small).
  */
-
-#include <algorithm>
-#include <chrono>
-#include <fstream>
-#include <thread>
 
 #include "bench_util.hh"
 #include "core/system.hh"
@@ -75,8 +62,8 @@ main(int argc, char **argv)
         points.push_back({specFor(k), true, pds::PdsScheme::LightWsp, 0});
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    harness::parallelFor(args.jobs, points.size(), [&](std::size_t i) {
+    auto exec = bench::makeExecutor(args);
+    exec.forEach(points.size(), [&](std::size_t i) {
         Point &p = points[i];
         core::SystemConfig cfg =
             p.baseline ? pds::makePdsBaselineConfig()
@@ -97,18 +84,11 @@ main(int argc, char **argv)
         std::string err = pds::checkSemantics(p.spec, sys.execImage());
         LWSP_ASSERT(err.empty(), "fig19 semantic check failed: ", err);
         p.cycles = res.cycles;
+        return bench::pointRecord(
+            p.spec.toString(),
+            p.baseline ? "baseline" : pds::pdsSchemeName(p.scheme), cfg,
+            prog, res);
     });
-
-    harness::SweepStats stats;
-    stats.jobs = args.jobs ? args.jobs
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency());
-    stats.points = points.size();
-    stats.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    for (const auto &p : points)
-        stats.simulatedCycles += p.cycles;
 
     harness::ResultTable table(
         "Fig 19: pds per-op slowdown vs persistence-free baseline "
@@ -129,30 +109,6 @@ main(int argc, char **argv)
         table.addRow(pds::kindName(kKinds[k]), "pds", row);
     }
 
-    table.print(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        table.writeCsv(csv);
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty())
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName, stats);
-    if (!args.reportPath.empty()) {
-        // The harness run-report schema resolves workloads by paper
-        // profile; pds points are generated programs, so they get their
-        // own (smaller) versioned record stream.
-        std::ofstream rep(args.reportPath);
-        rep << "{\"schema\":\"lwsp-pds-report-v1\",\"bench\":\""
-            << args.benchName << "\",\"points\":[";
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const Point &p = points[i];
-            rep << (i ? "," : "") << "{\"spec\":\"" << p.spec.toString()
-                << "\",\"scheme\":\""
-                << (p.baseline ? "baseline" : pds::pdsSchemeName(p.scheme))
-                << "\",\"cycles\":" << p.cycles << "}";
-        }
-        rep << "]}\n";
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
+    bench::finish(table, args, exec);
     return 0;
 }

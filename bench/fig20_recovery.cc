@@ -17,18 +17,9 @@
  * Recovery mode substitutes the LightWSP gated-commit binary for
  * capri/ppa/cwsp's hardware checkpoint mechanisms (their timing knobs
  * are kept) so that recovery is exact — see DESIGN.md §13; the column
- * trend, not cross-scheme magnitude, is the result here.
- *
- * Like fig19_pds this sweeps with parallelFor instead of the
- * profile-name-keyed SweepExecutor; output-indexed result slots keep
- * the CSV byte-identical at any job count, and quick mode runs the
- * identical (already small) grid.
+ * trend, not cross-scheme magnitude, is the result here. Quick mode
+ * runs the identical (already small) grid.
  */
-
-#include <algorithm>
-#include <chrono>
-#include <fstream>
-#include <thread>
 
 #include "bench_util.hh"
 #include "core/system.hh"
@@ -54,7 +45,6 @@ struct Point
     pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
     unsigned threshold = 0;  ///< 0 for pmtx (opsPerTx is in the spec)
     Tick latency = 0;        ///< power-on to first served op
-    Tick goldenCycles = 0;
 };
 
 } // namespace
@@ -84,8 +74,8 @@ main(int argc, char **argv)
         }
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    harness::parallelFor(args.jobs, points.size(), [&](std::size_t i) {
+    auto exec = bench::makeExecutor(args);
+    exec.forEach(points.size(), [&](std::size_t i) {
         Point &p = points[i];
         auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
         cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
@@ -97,7 +87,6 @@ main(int argc, char **argv)
         auto gres = golden.run();
         LWSP_ASSERT(gres.completed, "fig20 golden did not complete: ",
                     p.spec.toString());
-        p.goldenCycles = gres.cycles;
 
         core::System victim(cfg, prog, 1);
         victim.runWithPowerFailure(gres.cycles * 6 / 10);
@@ -109,18 +98,19 @@ main(int argc, char **argv)
                     p.spec.toString(), " scheme ",
                     pds::pdsSchemeName(p.scheme));
         p.latency = probe.serveTick;
-    });
 
-    harness::SweepStats stats;
-    stats.jobs = args.jobs ? args.jobs
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency());
-    stats.points = points.size();
-    stats.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    for (const auto &p : points)
-        stats.simulatedCycles += p.goldenCycles + p.latency;
+        auto record = bench::pointRecord(p.spec.toString(),
+                                         pds::pdsSchemeName(p.scheme), cfg,
+                                         prog, gres);
+        if (p.threshold) // keys the point: specKey folds capri/ppa's away
+            record.spec.workload += ",thr=" + std::to_string(p.threshold);
+        record.metrics = {
+            {"threshold", static_cast<double>(p.threshold)},
+            {"golden_cycles", static_cast<double>(gres.cycles)},
+            {"latency_cycles", static_cast<double>(p.latency)}};
+        record.simulatedCycles = gres.cycles + p.latency;
+        return record;
+    });
 
     harness::ResultTable table(
         "Fig 20: pds recovery latency, power-on to first served op "
@@ -143,28 +133,6 @@ main(int argc, char **argv)
         }
     }
 
-    table.print(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        table.writeCsv(csv);
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty())
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName, stats);
-    if (!args.reportPath.empty()) {
-        std::ofstream rep(args.reportPath);
-        rep << "{\"schema\":\"lwsp-pds-report-v1\",\"bench\":\""
-            << args.benchName << "\",\"points\":[";
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const Point &p = points[i];
-            rep << (i ? "," : "") << "{\"spec\":\"" << p.spec.toString()
-                << "\",\"scheme\":\"" << pds::pdsSchemeName(p.scheme)
-                << "\",\"threshold\":" << p.threshold
-                << ",\"golden_cycles\":" << p.goldenCycles
-                << ",\"latency_cycles\":" << p.latency << "}";
-        }
-        rep << "]}\n";
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
+    bench::finish(table, args, exec);
     return 0;
 }

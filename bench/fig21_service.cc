@@ -16,12 +16,8 @@
  * view a service operator cares about (which ROADMAP item 1 asked for).
  */
 
-#include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 
 #include "bench_util.hh"
 #include "core/system.hh"
@@ -53,14 +49,19 @@ specFor(serve::Profile prof)
     return spec;
 }
 
+/** An arrival-grid cell, as named in the table rows. */
+std::string
+cellName(unsigned ia, unsigned burst)
+{
+    return "ia=" + std::to_string(ia) + "/b=" + std::to_string(burst);
+}
+
 /** One simulated (profile, scheme) point; arrival cells fold from it. */
 struct SimPoint
 {
     serve::Profile profile = serve::Profile::Varnish;
     pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
-    serve::ServeWorkload wl;
-    serve::OpMarks marks;
-    Tick cycles = 0;
+    std::vector<serve::TailReport> tails;  ///< row-major over the cells
 };
 
 } // namespace
@@ -80,10 +81,10 @@ main(int argc, char **argv)
         }
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    harness::parallelFor(args.jobs, sims.size(), [&](std::size_t i) {
+    auto exec = bench::makeExecutor(args);
+    exec.forEach(sims.size(), [&](std::size_t i) {
         SimPoint &p = sims[i];
-        p.wl = serve::buildWorkload(specFor(p.profile));
+        auto wl = serve::buildWorkload(specFor(p.profile));
 
         auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Perf);
         cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
@@ -93,41 +94,54 @@ main(int argc, char **argv)
         // Must hold every Serve+Wpq event of the run: a wrapped ring
         // would silently drop early request marks (extractMarks panics).
         cfg.traceBufferEvents = std::size_t(1) << 18;
-        pds::PdsParams params =
-            pds::PdsModel(p.wl.pdsSpec, p.wl.ops).params();
+        pds::PdsParams params = pds::PdsModel(wl.pdsSpec, wl.ops).params();
         cfg.core.serveMarkAddr = params.served;
 
-        auto prog = pds::preparePdsProgram(p.wl.pdsSpec, p.wl.ops,
-                                           p.scheme, pds::PdsRunMode::Perf);
+        auto prog = pds::preparePdsProgram(wl.pdsSpec, wl.ops, p.scheme,
+                                           pds::PdsRunMode::Perf);
         core::System sys(cfg, prog, 1);
         auto res = sys.run();
         LWSP_ASSERT(res.completed, "fig21 point did not complete: ",
-                    p.wl.spec.toString(), " scheme ",
+                    wl.spec.toString(), " scheme ",
                     pds::pdsSchemeName(p.scheme));
         std::string err =
-            pds::checkSemantics(p.wl.pdsSpec, p.wl.ops, sys.execImage());
+            pds::checkSemantics(wl.pdsSpec, wl.ops, sys.execImage());
         LWSP_ASSERT(err.empty(), "fig21 semantic check failed: ", err);
-        p.marks = serve::LatencyRecorder::extractMarks(
-            p.wl, sys.traceSink()->snapshot());
-        p.cycles = res.cycles;
+        auto marks = serve::LatencyRecorder::extractMarks(
+            wl, sys.traceSink()->snapshot());
+
+        // Fold the arrival grid (pure post-processing, deterministic).
+        auto record = bench::pointRecord(wl.spec.toString(),
+                                         pds::pdsSchemeName(p.scheme), cfg,
+                                         prog, res);
+        for (unsigned ia : kMeanIas) {
+            for (unsigned b : kBursts) {
+                serve::ServeSpec aspec = wl.spec;
+                aspec.meanIa = ia;
+                aspec.burst = b;
+                const auto &t = p.tails.emplace_back(
+                    serve::LatencyRecorder::fold(
+                        wl, marks, serve::arrivalTimes(aspec)));
+                const std::string at = cellName(ia, b) + "/";
+                record.metrics.insert(
+                    record.metrics.end(),
+                    {{at + "p50", t.p50},
+                     {at + "p99", t.p99},
+                     {at + "p999", t.p999},
+                     {at + "max", t.max},
+                     {at + "mean", t.mean},
+                     {at + "stall_p99", t.stallAtP99},
+                     {at + "wpq_p99", static_cast<double>(t.wpqOccAtP99)},
+                     {at + "requests", static_cast<double>(t.requests)}});
+            }
+        }
+        return record;
     });
 
-    harness::SweepStats stats;
-    stats.jobs = args.jobs ? args.jobs
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency());
-    stats.points = sims.size();
-    stats.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    for (const auto &p : sims)
-        stats.simulatedCycles += p.cycles;
-
-    // Fold the arrival grid (pure post-processing, deterministic). The
-    // console table carries only the latency columns (strictly positive,
-    // so the per-suite geomean rows are meaningful); the CSV adds the
-    // tail-attribution columns, which can legitimately be 0 (pmtx has no
-    // boundary stalls).
+    // The console table carries only the latency columns (strictly
+    // positive, so the per-suite geomean rows are meaningful); the CSV
+    // adds the tail-attribution columns, which can legitimately be 0
+    // (pmtx has no boundary stalls).
     harness::ResultTable table(
         "Fig 21: open-loop request latency tails (cycles), 1200 requests "
         "per profile, Zipf keys. Rows <profile>/<scheme>/ia=<mean "
@@ -137,56 +151,25 @@ main(int argc, char **argv)
 
     std::ostringstream csvBody;
     csvBody << "workload,suite,p50,p99,p999,max,stall99,wpq99\n";
-    std::vector<std::string> repRows;
     for (const SimPoint &p : sims) {
+        const serve::TailReport *rep = p.tails.data();
         for (unsigned ia : kMeanIas) {
             for (unsigned b : kBursts) {
-                serve::ServeSpec aspec = p.wl.spec;
-                aspec.meanIa = ia;
-                aspec.burst = b;
-                auto arr = serve::arrivalTimes(aspec);
-                auto rep =
-                    serve::LatencyRecorder::fold(p.wl, p.marks, arr);
                 std::string name =
                     std::string(serve::profileName(p.profile)) + "/" +
-                    pds::pdsSchemeName(p.scheme) + "/ia=" +
-                    std::to_string(ia) + "/b=" + std::to_string(b);
+                    pds::pdsSchemeName(p.scheme) + "/" + cellName(ia, b);
                 table.addRow(name, pds::pdsSchemeName(p.scheme),
-                             {rep.p50, rep.p99, rep.p999, rep.max});
+                             {rep->p50, rep->p99, rep->p999, rep->max});
                 csvBody << name << ',' << pds::pdsSchemeName(p.scheme)
-                        << ',' << std::setprecision(10) << rep.p50 << ','
-                        << rep.p99 << ',' << rep.p999 << ',' << rep.max
-                        << ',' << rep.stallAtP99 << ','
-                        << rep.wpqOccAtP99 << '\n';
-                std::ostringstream rec;
-                rec << "{\"row\":\"" << name << "\",\"spec\":\""
-                    << aspec.toString() << "\",\"p50\":" << rep.p50
-                    << ",\"p99\":" << rep.p99 << ",\"p999\":" << rep.p999
-                    << ",\"max\":" << rep.max << ",\"mean\":" << rep.mean
-                    << ",\"stall_p99\":" << rep.stallAtP99
-                    << ",\"wpq_p99\":" << rep.wpqOccAtP99
-                    << ",\"requests\":" << rep.requests << "}";
-                repRows.push_back(rec.str());
+                        << ',' << std::setprecision(10) << rep->p50 << ','
+                        << rep->p99 << ',' << rep->p999 << ',' << rep->max
+                        << ',' << rep->stallAtP99 << ','
+                        << rep->wpqOccAtP99 << '\n';
+                ++rep;
             }
         }
     }
 
-    table.print(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        csv << csvBody.str();
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty())
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName, stats);
-    if (!args.reportPath.empty()) {
-        std::ofstream rep(args.reportPath);
-        rep << "{\"schema\":\"lwsp-serve-report-v1\",\"bench\":\""
-            << args.benchName << "\",\"cells\":[";
-        for (std::size_t i = 0; i < repRows.size(); ++i)
-            rep << (i ? "," : "") << repRows[i];
-        rep << "]}\n";
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
+    bench::finish(table, csvBody.str(), args, exec);
     return 0;
 }

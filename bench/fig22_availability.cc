@@ -28,12 +28,9 @@
  */
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iomanip>
 #include <numeric>
 #include <sstream>
-#include <thread>
 
 #include "bench_util.hh"
 #include "core/storm_walk.hh"
@@ -69,7 +66,6 @@ struct Point
 {
     serve::Profile profile = serve::Profile::Varnish;
     pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
-    fault::FailureSchedule storm;
     unsigned failures = 0;  ///< power failures actually fired
     unsigned boots = 0;     ///< recoveries (incl. re-entered preambles)
     unsigned mttrSamples = 0;
@@ -77,6 +73,8 @@ struct Point
     Tick mttrMax = 0;
     Tick goldenCycles = 0;
     Tick wallCycles = 0;    ///< powered cycles across the whole lifetime
+    double mttrMean = 0.0;
+    double availability = 0.0;  ///< goldenCycles / wallCycles
 };
 
 } // namespace
@@ -96,8 +94,8 @@ main(int argc, char **argv)
         }
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    harness::parallelFor(args.jobs, points.size(), [&](std::size_t i) {
+    auto exec = bench::makeExecutor(args);
+    exec.forEach(points.size(), [&](std::size_t i) {
         Point &p = points[i];
         auto wl = serve::buildWorkload(specFor(p.profile));
         auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
@@ -114,13 +112,13 @@ main(int argc, char **argv)
 
         // The row's storm is deterministic in its grid index, so the
         // CSV never depends on scheduling.
-        p.storm = fault::FailureSchedule::random(
+        auto storm = fault::FailureSchedule::random(
             0xf22u + 7919u * static_cast<std::uint64_t>(i), kStormEvents,
             gres.cycles / 4 + 1);
         std::size_t pos = 0;
         core::System victim(cfg, prog, 1);
         auto vr = victim.runWithFailureStorm(gres.cycles * 6 / 10,
-                                             p.storm.takeDrains(pos));
+                                             storm.takeDrains(pos));
         LWSP_ASSERT(!vr.completed, "fig22 victim outran its failure: ",
                     wl.spec.toString());
 
@@ -148,7 +146,7 @@ main(int argc, char **argv)
             }
         };
         auto walk = core::recoverThroughStorm(victim, cfg, prog, 1, {},
-                                              p.storm, pos, hooks);
+                                              storm, pos, hooks);
         LWSP_ASSERT(walk.error.empty(), "fig22 storm: ", walk.error);
         LWSP_ASSERT(walk.result.completed,
                     "fig22 final boot did not complete");
@@ -159,18 +157,29 @@ main(int argc, char **argv)
         std::string err = pds::checkSemantics(wl.pdsSpec, wl.ops,
                                               walk.sys->execImage());
         LWSP_ASSERT(err.empty(), "fig22 semantic check failed: ", err);
-    });
+        if (p.mttrSamples)
+            p.mttrMean = static_cast<double>(p.mttrSum) /
+                         static_cast<double>(p.mttrSamples);
+        p.availability = static_cast<double>(p.goldenCycles) /
+                         static_cast<double>(p.wallCycles);
 
-    harness::SweepStats stats;
-    stats.jobs = args.jobs ? args.jobs
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency());
-    stats.points = points.size();
-    stats.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    for (const auto &p : points)
-        stats.simulatedCycles += p.goldenCycles + p.wallCycles;
+        auto record = bench::pointRecord(
+            wl.spec.toString() + "+storm=" + storm.toString(),
+            pds::pdsSchemeName(p.scheme), cfg, prog, walk.result);
+        record.outcome.recovered = true;
+        record.outcome.recoveryOutcome = walk.outcome;
+        record.outcome.failuresSurvived = walk.failures;
+        record.metrics = {
+            {"failures", static_cast<double>(p.failures)},
+            {"boots", static_cast<double>(p.boots)},
+            {"mttr_mean", p.mttrMean},
+            {"mttr_max", static_cast<double>(p.mttrMax)},
+            {"golden_cycles", static_cast<double>(p.goldenCycles)},
+            {"wall_cycles", static_cast<double>(p.wallCycles)},
+            {"availability", p.availability}};
+        record.simulatedCycles = p.goldenCycles + p.wallCycles;
+        return record;
+    });
 
     harness::ResultTable table(
         "Fig 22: availability under failure storms (96-request service "
@@ -184,54 +193,19 @@ main(int argc, char **argv)
     csvBody << "workload,scheme,failures,boots,mttr_mean,mttr_max,"
                "golden_cycles,wall_cycles,availability\n";
     for (const Point &p : points) {
-        double mean = p.mttrSamples
-                          ? static_cast<double>(p.mttrSum) /
-                                static_cast<double>(p.mttrSamples)
-                          : 0.0;
-        double avail = static_cast<double>(p.goldenCycles) /
-                       static_cast<double>(p.wallCycles);
         std::string name =
             std::string(serve::profileName(p.profile)) + "/" +
             pds::pdsSchemeName(p.scheme);
         table.addRow(name, pds::pdsSchemeName(p.scheme),
-                     {mean, static_cast<double>(p.mttrMax),
-                      100.0 * avail});
+                     {p.mttrMean, static_cast<double>(p.mttrMax),
+                      100.0 * p.availability});
         csvBody << name << ',' << pds::pdsSchemeName(p.scheme) << ','
                 << p.failures << ',' << p.boots << ','
-                << std::setprecision(10) << mean << ',' << p.mttrMax
+                << std::setprecision(10) << p.mttrMean << ',' << p.mttrMax
                 << ',' << p.goldenCycles << ',' << p.wallCycles << ','
-                << avail << '\n';
+                << p.availability << '\n';
     }
 
-    table.print(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        csv << csvBody.str();
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty())
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName, stats);
-    if (!args.reportPath.empty()) {
-        // Emit the storm rows through the shared v1.2 run-report writer
-        // so the recovery-lineage fields carry real values for once.
-        std::vector<harness::RunRecord> recs;
-        for (const Point &p : points) {
-            harness::RunRecord rec;
-            rec.spec.workload =
-                std::string(serve::profileName(p.profile)) + "/" +
-                pds::pdsSchemeName(p.scheme) + "+storm=" +
-                p.storm.toString();
-            rec.outcome.threads = 1;
-            rec.outcome.result.completed = true;
-            rec.outcome.result.cycles = p.wallCycles;
-            rec.outcome.recovered = true;
-            rec.outcome.recoveryOutcome = core::RecoveryOutcome::Recovered;
-            rec.outcome.failuresSurvived = p.failures;
-            recs.push_back(std::move(rec));
-        }
-        harness::writeRunReports(args.reportPath, args.benchName, recs,
-                                 stats);
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
+    bench::finish(table, csvBody.str(), args, exec);
     return 0;
 }

@@ -23,12 +23,8 @@
  * either --engine.
  */
 
-#include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 
 #include "bench_util.hh"
 #include "core/system.hh"
@@ -50,6 +46,14 @@ struct Point
     bool lossy = false;
     unsigned threads = 0;     ///< workload rows; 0 = serve row
     core::RunResult res;
+
+    /** The row's unique key, first in the CSV. */
+    std::string
+    name() const
+    {
+        return topo.toString() + "/" + std::to_string(mcs) + "/" +
+               workload + (lossy ? "/loss100" : "");
+    }
 };
 
 fault::FaultConfig
@@ -65,10 +69,9 @@ faultsFor(const Point &p, std::size_t row)
 }
 
 /** One fig16-style thread point on the `rb` profile. */
-core::RunResult
+harness::RunRecord
 runWorkloadRow(const Point &p, std::size_t row)
 {
-    const auto &profile = workloads::profileByName("rb");
     harness::RunSpec spec;
     spec.workload = "rb";
     spec.scheme = core::Scheme::LightWsp;
@@ -76,23 +79,21 @@ runWorkloadRow(const Point &p, std::size_t row)
     spec.numMcs = p.mcs;
     spec.topology = p.topo;
 
-    workloads::Workload w = workloads::generate(profile);
-    core::SystemConfig cfg = harness::makeConfig(profile, spec);
-    cfg.warmupInsts =
-        w.estimatedInstsPerThread * p.threads * 35 / 100;
-    cfg.faults = faultsFor(p, row);
-    compiler::CompiledProgram prog =
-        harness::prepareProgram(std::move(w), spec);
-
-    core::System sys(cfg, prog, p.threads);
+    harness::PreparedRun run = harness::prepareRun(spec);
+    run.cfg.faults = faultsFor(p, row);
+    core::System sys(run.cfg, run.prog, run.threads);
     auto res = sys.run();
     LWSP_ASSERT(res.completed, "fig23 workload row did not complete: ",
                 p.workload, " mcs=", p.mcs, " ", p.topo.toString());
-    return res;
+    auto rec = bench::pointRecord(p.name(), core::schemeName(spec.scheme),
+                                  run.cfg, run.prog, res);
+    rec.spec.threads = run.threads;
+    rec.outcome.threads = run.threads;
+    return rec;
 }
 
 /** One fig21-style service tape on the pds hash table. */
-core::RunResult
+harness::RunRecord
 runServeRow(const Point &p, std::size_t row)
 {
     serve::ServeSpec spec;
@@ -116,7 +117,9 @@ runServeRow(const Point &p, std::size_t row)
     auto res = sys.run();
     LWSP_ASSERT(res.completed, "fig23 serve row did not complete: mcs=",
                 p.mcs, " ", p.topo.toString());
-    return res;
+    return bench::pointRecord(p.name(),
+                              pds::pdsSchemeName(pds::PdsScheme::LightWsp),
+                              cfg, prog, res);
 }
 
 } // namespace
@@ -154,22 +157,18 @@ main(int argc, char **argv)
         }
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    harness::parallelFor(args.jobs, points.size(), [&](std::size_t i) {
+    auto exec = bench::makeExecutor(args);
+    exec.forEach(points.size(), [&](std::size_t i) {
         Point &p = points[i];
-        p.res = p.threads ? runWorkloadRow(p, i) : runServeRow(p, i);
+        auto rec = p.threads ? runWorkloadRow(p, i) : runServeRow(p, i);
+        p.res = rec.outcome.result;
+        rec.metrics = {
+            {"bcast_lat_avg", p.res.bcastLatencyAvg},
+            {"bcast_lat_max", p.res.bcastLatencyMax},
+            {"noc_messages", static_cast<double>(p.res.nocMessages)},
+            {"bcast_retries", static_cast<double>(p.res.bcastRetries)}};
+        return rec;
     });
-
-    harness::SweepStats stats;
-    stats.jobs = args.jobs ? args.jobs
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency());
-    stats.points = points.size();
-    stats.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    for (const auto &p : points)
-        stats.simulatedCycles += p.res.cycles;
 
     harness::ResultTable table(
         "Fig 23: control-plane scale-out — boundary-ACK latency, WPQ "
@@ -189,9 +188,7 @@ main(int argc, char **argv)
                "bcast_lat_avg,bcast_lat_max,max_wpq_occupancy,"
                "noc_messages,bcast_retries\n";
     for (const Point &p : points) {
-        std::string name = p.topo.toString() + "/" +
-                           std::to_string(p.mcs) + "/" + p.workload +
-                           (p.lossy ? "/loss100" : "");
+        std::string name = p.name();
         table.addRow(name, p.topo.toString(),
                      {static_cast<double>(p.res.cycles),
                       static_cast<double>(p.res.boundaries),
@@ -206,29 +203,6 @@ main(int argc, char **argv)
                 << ',' << p.res.bcastRetries << '\n';
     }
 
-    table.print(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        csv << csvBody.str();
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty())
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName, stats);
-    if (!args.reportPath.empty()) {
-        std::vector<harness::RunRecord> recs;
-        for (const Point &p : points) {
-            harness::RunRecord rec;
-            rec.spec.workload = p.topo.toString() + "/" +
-                                std::to_string(p.mcs) + "/" + p.workload;
-            rec.spec.numMcs = p.mcs;
-            rec.spec.topology = p.topo;
-            rec.outcome.threads = p.threads ? p.threads : 1;
-            rec.outcome.result = p.res;
-            recs.push_back(std::move(rec));
-        }
-        harness::writeRunReports(args.reportPath, args.benchName, recs,
-                                 stats);
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
+    bench::finish(table, csvBody.str(), args, exec);
     return 0;
 }

@@ -80,24 +80,32 @@ prepareProgram(workloads::Workload &&workload, const RunSpec &spec)
     return comp.compile(std::move(workload.module));
 }
 
-RunOutcome
-Runner::runUncached(const RunSpec &spec)
+PreparedRun
+prepareRun(const RunSpec &spec)
 {
     const auto &profile = workloads::profileByName(spec.workload);
     workloads::Workload w = workloads::generate(profile);
 
-    RunOutcome out;
-    out.threads = spec.threads.value_or(profile.threads);
-
-    core::SystemConfig cfg = makeConfig(profile, spec);
+    PreparedRun run;
+    run.threads = spec.threads.value_or(profile.threads);
+    run.cfg = makeConfig(profile, spec);
     // Warm the caches (stand-in for the paper's 10B-instruction
     // fast-forward): measure only the last ~65% of the run.
-    cfg.warmupInsts = w.estimatedInstsPerThread * out.threads * 35 / 100;
-    compiler::CompiledProgram prog =
-        prepareProgram(std::move(w), spec);
-    out.compileStats = prog.stats;
+    run.cfg.warmupInsts =
+        w.estimatedInstsPerThread * run.threads * 35 / 100;
+    run.prog = prepareProgram(std::move(w), spec);
+    return run;
+}
 
-    core::System sys(cfg, prog, out.threads);
+RunOutcome
+Runner::runUncached(const RunSpec &spec)
+{
+    PreparedRun run = prepareRun(spec);
+    RunOutcome out;
+    out.threads = run.threads;
+    out.compileStats = run.prog.stats;
+
+    core::System sys(run.cfg, run.prog, out.threads);
     out.result = sys.run();
     if (!out.result.completed)
         warn("run did not complete: ", spec.workload, " on ",

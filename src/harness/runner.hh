@@ -84,6 +84,22 @@ core::SystemConfig makeConfig(const workloads::WorkloadProfile &profile,
 compiler::CompiledProgram
 prepareProgram(workloads::Workload &&workload, const RunSpec &spec);
 
+/** A paper-profile point, configured and compiled, ready to simulate. */
+struct PreparedRun
+{
+    core::SystemConfig cfg;
+    compiler::CompiledProgram prog;
+    unsigned threads = 1;
+};
+
+/**
+ * Everything Runner::run builds before it simulates: generate
+ * spec.workload, configure the machine (makeConfig plus the warm-up
+ * cut) and compile the program (prepareProgram). A caller that needs a
+ * machine knob RunSpec does not carry sets it on the returned cfg.
+ */
+PreparedRun prepareRun(const RunSpec &spec);
+
 class Runner
 {
   public:

@@ -3,7 +3,9 @@
 #include "common/stats.hh"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -66,46 +68,67 @@ SweepExecutor::SweepExecutor(unsigned jobs)
 {
 }
 
-template <typename Fn>
-void
-SweepExecutor::sweep(std::size_t n, Fn &&fn)
+std::vector<RunRecord>
+SweepExecutor::sweep(std::size_t n,
+                     const std::function<RunRecord(std::size_t)> &point)
 {
+    std::vector<RunRecord> records(n);
     auto start = std::chrono::steady_clock::now();
-    parallelFor(jobs_, n, std::forward<Fn>(fn));
+    parallelFor(jobs_, n, [&](std::size_t i) { records[i] = point(i); });
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
                       .count();
-    last_.jobs = jobs_;
-    last_.points = n;
-    last_.wallSeconds = secs;
     total_.jobs = jobs_;
     total_.points += n;
     total_.wallSeconds += secs;
+    for (const auto &rec : records)
+        total_.simulatedCycles += rec.simulatedCycles;
+    return records;
 }
 
 void
-SweepExecutor::record(Runner &runner, const RunSpec &spec)
+SweepExecutor::forEach(std::size_t n,
+                       const std::function<RunRecord(std::size_t)> &point)
 {
-    // Post-sweep bookkeeping on the calling thread: the memo makes the
-    // re-run instant, and serial insertion keeps the record order (and
-    // so the report file) independent of worker scheduling.
-    std::string key = specKey(spec);
-    if (!recordedKeys_.insert(key).second)
-        return;
-    records_.push_back({spec, runner.run(spec)});
+    for (auto &rec : sweep(n, point))
+        records_.push_back(std::move(rec));
+}
+
+namespace {
+
+RunRecord
+runnerRecord(Runner &runner, const RunSpec &spec)
+{
+    RunRecord rec;
+    rec.spec = spec;
+    rec.outcome = runner.run(spec);
+    rec.simulatedCycles = rec.outcome.result.cycles;
+    return rec;
+}
+
+} // namespace
+
+void
+SweepExecutor::keepOnce(std::vector<RunRecord> &&records)
+{
+    // Records arrive in index order, so the report file is independent
+    // of worker scheduling; a key the memo already served is one
+    // simulation, reported once.
+    for (auto &rec : records) {
+        if (recordedKeys_.insert(specKey(rec.spec)).second)
+            records_.push_back(std::move(rec));
+    }
 }
 
 std::vector<RunOutcome>
 SweepExecutor::runAll(Runner &runner, const std::vector<RunSpec> &specs)
 {
     std::vector<RunOutcome> out(specs.size());
-    sweep(specs.size(), [&](std::size_t i) { out[i] = runner.run(specs[i]); });
-    last_.simulatedCycles = 0;
-    for (const auto &o : out)
-        last_.simulatedCycles += o.result.cycles;
-    total_.simulatedCycles += last_.simulatedCycles;
-    for (const auto &s : specs)
-        record(runner, s);
+    keepOnce(sweep(specs.size(), [&](std::size_t i) {
+        RunRecord rec = runnerRecord(runner, specs[i]);
+        out[i] = rec.outcome;
+        return rec;
+    }));
     return out;
 }
 
@@ -123,24 +146,16 @@ SweepExecutor::slowdowns(Runner &runner, const std::vector<RunSpec> &specs)
         all.push_back(s);
 
     std::vector<double> out(specs.size());
-    std::uint64_t cycles = 0;
-    std::mutex cycles_mutex;
-    sweep(all.size(), [&](std::size_t i) {
-        RunOutcome o = runner.run(all[i]);
+    keepOnce(sweep(all.size(), [&](std::size_t i) {
+        RunRecord rec = runnerRecord(runner, all[i]);
         if (i >= specs.size()) {
             std::size_t p = i - specs.size();
-            Tick base = runner.run(Runner::baselineSpec(specs[p]))
-                            .result.cycles;
-            out[p] = static_cast<double>(o.result.cycles) /
+            Tick base = runner.run(all[p]).result.cycles;
+            out[p] = static_cast<double>(rec.outcome.result.cycles) /
                      static_cast<double>(base);
         }
-        std::lock_guard<std::mutex> lock(cycles_mutex);
-        cycles += o.result.cycles;
-    });
-    last_.simulatedCycles = cycles;
-    total_.simulatedCycles += cycles;
-    for (const auto &s : all)
-        record(runner, s);
+        return rec;
+    }));
     return out;
 }
 
@@ -176,9 +191,11 @@ writeRunReports(const std::string &path, const std::string &bench,
     }
     // v1.1: adds the "cycles_percentiles" footer (stats::Percentiles
     // over per-run cycle counts). v1.2: adds per-run "recovery_outcome"
-    // ("none" for fresh boots) and "failures_survived". Fields are
-    // additive; v1 consumers that ignore unknown keys keep working.
-    os << "{\"schema\":\"lwsp-run-report-v1.2\",\"bench\":\"" << bench
+    // ("none" for fresh boots) and "failures_survived". v1.3: adds
+    // per-run "scheme_label" and, when the bench sets any, "metrics".
+    // Fields are additive; v1 consumers that ignore unknown keys keep
+    // working.
+    os << "{\"schema\":\"lwsp-run-report-v1.3\",\"bench\":\"" << bench
        << "\",\"jobs\":" << stats.jobs << ",\"wall_seconds\":"
        << stats.wallSeconds << ",\"runs\":[";
     bool first = true;
@@ -226,7 +243,23 @@ writeRunReports(const std::string &path, const std::string &bench,
                    ? core::recoveryOutcomeName(rec.outcome.recoveryOutcome)
                    : "none")
            << "\",\"failures_survived\":"
-           << rec.outcome.failuresSurvived << "}";
+           << rec.outcome.failuresSurvived << ",\"scheme_label\":\""
+           << (rec.schemeLabel.empty() ? core::schemeName(rec.spec.scheme)
+                                       : rec.schemeLabel)
+           << '"';
+        const char *sep = ",\"metrics\":{";
+        for (const auto &[name, v] : rec.metrics) {
+            // Shortest text that reads back as the value; JSON has no
+            // inf/nan.
+            char num[32] = "null";
+            char *end = std::isfinite(v)
+                            ? std::to_chars(num, num + sizeof(num), v).ptr
+                            : num + 4;
+            os << sep << '"' << name << "\":"
+               << std::string_view(num, end - num);
+            sep = ",";
+        }
+        os << (rec.metrics.empty() ? "}" : "}}");
         first = false;
     }
     stats::Percentiles cyc;

@@ -4,7 +4,8 @@
  *
  * Every figure/table reproduction is a sweep over independent
  * (workload x scheme x config) simulation points. SweepExecutor fans a
- * spec list out across worker threads with a shared claim counter
+ * spec list (runAll/slowdowns) or a bench's own point grid (forEach)
+ * out across worker threads with a shared claim counter
  * (work-stealing at point granularity: whichever worker frees up first
  * takes the next unclaimed index), while results land in a vector slot
  * per input index — so the output order, and therefore every table, CSV
@@ -14,9 +15,9 @@
  * mutable state beyond the Runner's mutex-guarded memo), which is what
  * makes "parallel == serial, bit for bit" a contract rather than a hope.
  *
- * The executor also keeps wall-clock/throughput telemetry per sweep and
- * accumulated across the binary's lifetime, emitted as a BENCH_sweep.json
- * record to track the repo's performance trajectory.
+ * The executor also keeps wall-clock/throughput telemetry accumulated
+ * across the binary's lifetime, emitted as a BENCH_sweep.json record to
+ * track the repo's performance trajectory.
  */
 
 #ifndef LWSP_HARNESS_SWEEP_HH
@@ -26,6 +27,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/runner.hh"
@@ -74,6 +76,15 @@ struct RunRecord
 {
     RunSpec spec;
     RunOutcome outcome;
+    /** The scheme as the bench labels it ("pmtx", "baseline"); empty =
+     *  core::schemeName(spec.scheme). */
+    std::string schemeLabel;
+    /** Bench-specific numbers, written as the record's flat "metrics"
+     *  name -> number object in insertion order. */
+    std::vector<std::pair<std::string, double>> metrics;
+    /** Every cycle the point simulated (golden, victim and probe runs
+     *  alike); SweepStats::simulatedCycles sums it. */
+    std::uint64_t simulatedCycles = 0;
 };
 
 class SweepExecutor
@@ -83,6 +94,16 @@ class SweepExecutor
     explicit SweepExecutor(unsigned jobs = 0);
 
     unsigned jobs() const { return jobs_; }
+
+    /**
+     * The one sweep path: @p point(i) simulates point i (into the
+     * caller's own slot, for what the table needs beyond the record)
+     * and returns its RunRecord. The executor times the sweep, sums the
+     * records' simulatedCycles and appends them to runRecords() in
+     * index order, whatever the job count.
+     */
+    void forEach(std::size_t n,
+                 const std::function<RunRecord(std::size_t)> &point);
 
     /**
      * Execute every spec through @p runner. Result i corresponds to
@@ -100,25 +121,22 @@ class SweepExecutor
     std::vector<double> slowdowns(Runner &runner,
                                   const std::vector<RunSpec> &specs);
 
-    /** Telemetry for the most recent runAll/slowdowns call. */
-    const SweepStats &lastStats() const { return last_; }
-
     /** Telemetry accumulated over every sweep this executor ran. */
     const SweepStats &totalStats() const { return total_; }
 
     /**
-     * Every point executed by this executor (baselines included),
-     * deduplicated by canonical spec key in first-execution order.
+     * Every point executed by this executor (baselines included), in
+     * first-execution order; Runner-backed points are deduplicated by
+     * canonical spec key, since the memo simulates each key once.
      */
     const std::vector<RunRecord> &runRecords() const { return records_; }
 
   private:
-    void record(Runner &runner, const RunSpec &spec);
-    template <typename Fn>
-    void sweep(std::size_t n, Fn &&fn);
+    std::vector<RunRecord>
+    sweep(std::size_t n, const std::function<RunRecord(std::size_t)> &point);
+    void keepOnce(std::vector<RunRecord> &&records);
 
     unsigned jobs_;
-    SweepStats last_;
     SweepStats total_;
     std::vector<RunRecord> records_;
     std::set<std::string> recordedKeys_;
@@ -132,14 +150,15 @@ void writeSweepJson(const std::string &path, const std::string &bench,
                     const SweepStats &stats);
 
 /**
- * Versioned machine-readable run report: one record per distinct
- * simulation point with its canonical spec key, resolved configuration
- * axes, compile stats and the full RunResult, plus a cross-run
- * cycles-percentiles footer. Schema identifier "lwsp-run-report-v1.2"
+ * Versioned machine-readable run report: one record per simulation
+ * point with its canonical spec key, resolved configuration axes,
+ * compile stats and the full RunResult, plus a cross-run
+ * cycles-percentiles footer. Schema identifier "lwsp-run-report-v1.3"
  * (minor bumps are additive: v1.1 added the percentiles footer, v1.2
  * the per-run recovery lineage — "recovery_outcome", "none" on fresh
- * boots, and "failures_survived"); consumers must reject unknown major
- * versions.
+ * boots, and "failures_survived" — v1.3 the bench's "scheme_label" and
+ * the optional flat "metrics" object); consumers must reject unknown
+ * major versions.
  */
 void writeRunReports(const std::string &path, const std::string &bench,
                      const std::vector<RunRecord> &records,

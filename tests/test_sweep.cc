@@ -4,7 +4,8 @@
  *
  *  1. "parallel == serial, bit for bit": a SweepExecutor at any job
  *     count returns the same RunOutcome per spec (every counter, not
- *     just cycles) as a jobs=1 executor over a fresh Runner.
+ *     just cycles) as a jobs=1 executor over a fresh Runner, and
+ *     forEach keeps every point's record at its index.
  *  2. Quiescence fast-forward is invisible: a System run with
  *     fastForwardEnabled=false matches one with it enabled on every
  *     statistic, across schemes, warmup, and oversubscribed threads
@@ -268,23 +269,93 @@ TEST(Sweep, ParallelForCoversAllIndicesAndRethrows)
         std::runtime_error);
 }
 
+// The generic entry point: every point lands in its index's record,
+// identically at any job count, and the telemetry sums what a plain
+// serial loop over the same points would.
+TEST(Sweep, ForEachKeepsIndexOrderAtAnyJobCount)
+{
+    setLogQuiet(true);
+    const core::Scheme schemes[] = {core::Scheme::Baseline,
+                                    core::Scheme::LightWsp,
+                                    core::Scheme::Capri};
+    auto point = [&](std::size_t i) {
+        auto profile = scratchProfile(1 + static_cast<unsigned>(i % 2));
+        harness::RunRecord rec;
+        rec.spec.workload = "point-" + std::to_string(i);
+        rec.spec.scheme = schemes[i % 3];
+        auto cfg = harness::makeConfig(profile, rec.spec);
+        auto prog = harness::prepareProgram(workloads::generate(profile),
+                                            rec.spec);
+        core::System sys(cfg, prog, profile.threads);
+        rec.outcome.result = sys.run();
+        rec.outcome.threads = profile.threads;
+        rec.simulatedCycles = rec.outcome.result.cycles;
+        return rec;
+    };
+    constexpr std::size_t n = 6;
+
+    std::uint64_t serialCycles = 0;
+    std::vector<core::RunResult> serial;
+    for (std::size_t i = 0; i < n; ++i) {
+        serial.push_back(point(i).outcome.result);
+        serialCycles += serial.back().cycles;
+    }
+
+    for (unsigned jobs : {1u, 4u}) {
+        harness::SweepExecutor exec(jobs);
+        exec.forEach(n, point);
+        const auto &recs = exec.runRecords();
+        ASSERT_EQ(recs.size(), n) << "jobs " << jobs;
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(recs[i].spec.workload, "point-" + std::to_string(i));
+            expectResultEq(recs[i].outcome.result, serial[i],
+                           "jobs " + std::to_string(jobs) + " point " +
+                               std::to_string(i));
+        }
+        EXPECT_EQ(exec.totalStats().jobs, jobs);
+        EXPECT_EQ(exec.totalStats().points, n);
+        EXPECT_EQ(exec.totalStats().simulatedCycles, serialCycles);
+    }
+}
+
 // Run reports carry records whose workload names are not paper profiles
-// (fig22's storm lifetimes, fig23's fabric rows): writing one must not
-// abort on the profile lookup behind the record's key.
+// (fig19/20's pds programs, fig22's storm lifetimes, fig23's fabric
+// rows): writing one must not abort on the profile lookup behind the
+// record's key, and the v1.3 additions — the bench's scheme label,
+// compile stats and the flat metrics object — must reach the text.
 TEST(Sweep, RunReportAcceptsNonProfileWorkloads)
 {
     harness::RunRecord rec;
     rec.spec.workload = "varnish/lightwsp+storm=x733+x2173+r";
+    rec.spec.scheme = core::Scheme::NaiveSfence;
+    rec.schemeLabel = "pmtx";
     rec.outcome.threads = 1;
     rec.outcome.result.completed = true;
+    rec.outcome.compileStats.inputInsts = 192;
+    rec.outcome.compileStats.boundaries = 21;
+    rec.metrics = {{"golden_cycles", 14670}, {"ia=500/b=2/p99", 16150.5}};
+    harness::RunRecord plain;
+    plain.spec.workload = "rb";
     harness::SweepStats stats;
     std::string path = testing::TempDir() + "nonprofile_report.json";
-    harness::writeRunReports(path, "test_sweep", {rec}, stats);
+    harness::writeRunReports(path, "test_sweep", {rec, plain}, stats);
 
     std::ifstream is(path);
     std::stringstream json;
     json << is.rdbuf();
-    EXPECT_NE(json.str().find("\"workload\":\"" + rec.spec.workload),
-              std::string::npos)
-        << json.str();
+    for (const std::string &want :
+         {std::string("\"schema\":\"lwsp-run-report-v1.3\""),
+          "\"workload\":\"" + rec.spec.workload + "\"",
+          std::string("\"scheme\":\"naive-sfence\""),
+          std::string("\"input_insts\":192"),
+          std::string("\"boundaries\":21"),
+          std::string("\"scheme_label\":\"pmtx\",\"metrics\":{"
+                      "\"golden_cycles\":14670,"
+                      "\"ia=500/b=2/p99\":16150.5}}"),
+          // Unlabelled records carry their core scheme's name and no
+          // metrics object.
+          std::string("\"scheme_label\":\"lightwsp\"}")}) {
+        EXPECT_NE(json.str().find(want), std::string::npos)
+            << want << "\n" << json.str();
+    }
 }

@@ -640,7 +640,7 @@ TEST(TraceReport, RunReportJsonIsValidAndVersioned)
 
     JsonChecker checker(json);
     EXPECT_TRUE(checker.valid()) << json.substr(0, 400);
-    EXPECT_NE(json.find("\"schema\":\"lwsp-run-report-v1.2\""),
+    EXPECT_NE(json.find("\"schema\":\"lwsp-run-report-v1.3\""),
               std::string::npos);
     EXPECT_NE(json.find("\"workload\":\"rb\""), std::string::npos);
     EXPECT_NE(json.find("\"cycles\""), std::string::npos);
