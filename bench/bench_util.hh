@@ -13,26 +13,29 @@
  *                     and CSVs are bit-identical either way; the flag
  *                     exists for A/B verification and perf comparison.
  *
- * Benches build a flat RunSpec list (row-major over the table) and hand
- * it to a SweepExecutor, or — for points that are not paper profiles —
- * sweep their own point grid through SweepExecutor::forEach; results
- * come back indexed by input order, so tables and CSVs are
- * byte-identical at any job count. Every bench ends in finish().
+ * Every point is a harness::RunSpec whose workload is a program
+ * source: a paper profile or a pds/serve spec string. Benches that
+ * need only cycles build a flat RunSpec list (row-major over the table)
+ * and hand it to a SweepExecutor (runAll/slowdowns). Benches that crash,
+ * trace or fault-inject a point sweep their own grid through
+ * SweepExecutor::forEach, take (cfg, prog) from harness::prepareRun,
+ * and return harness::recordRun. Results come back indexed by input
+ * order, so tables and CSVs are byte-identical at any job count. Every
+ * bench ends in finish().
  */
 
 #ifndef LWSP_BENCH_BENCH_UTIL_HH
 #define LWSP_BENCH_BENCH_UTIL_HH
 
-#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
@@ -78,10 +81,7 @@ parseArgs(int argc, char **argv)
             args.csvPath = argv[++i];
         } else if (a == "--jobs" && i + 1 < argc) {
             // Plain decimal that fits an unsigned; 0 = all cores.
-            std::string_view v = argv[++i];
-            auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(),
-                                             args.jobs);
-            if (ec != std::errc() || end != v.data() + v.size())
+            if (!parseDecimal(argv[++i], args.jobs))
                 usage(argv[0]);
         } else if (a == "--sweep-json" && i + 1 < argc) {
             args.sweepJsonPath = argv[++i];
@@ -129,29 +129,6 @@ selectedProfiles(const BenchArgs &args)
     for (const auto &name : picks)
         out.push_back(&workloads::profileByName(name));
     return out;
-}
-
-/**
- * The run record of a point that is not a paper profile: @p workload is
- * the spec string that regenerates its program, @p label the scheme as
- * the bench names it, and @p res the run the point reports.
- */
-inline harness::RunRecord
-pointRecord(const std::string &workload, const std::string &label,
-            const core::SystemConfig &cfg,
-            const compiler::CompiledProgram &prog,
-            const core::RunResult &res)
-{
-    harness::RunRecord rec;
-    rec.spec.workload = workload;
-    rec.spec.scheme = cfg.scheme;
-    rec.spec.numMcs = cfg.numMcs;
-    rec.spec.topology = cfg.topology;
-    rec.schemeLabel = label;
-    rec.outcome.result = res;
-    rec.outcome.compileStats = prog.stats;
-    rec.simulatedCycles = res.cycles;
-    return rec;
 }
 
 /**

@@ -9,105 +9,54 @@
  * cycles(scheme, Perf mode) / cycles(same program, persistence-free
  * baseline machine) — the same normalization as fig07, but over real
  * crash-consistent structures instead of the paper's synthetic kernels.
- * Quick mode runs the identical grid (it is already small).
+ * Points are pds spec strings swept through Runner::slowdowns, so each
+ * structure's baseline simulates once. Quick mode runs the identical
+ * grid (it is already small).
  */
 
+#include <iterator>
+
 #include "bench_util.hh"
-#include "core/system.hh"
-#include "pds/pds.hh"
 
 using namespace lwsp;
-
-namespace {
-
-constexpr pds::PdsScheme kSchemes[] = {
-    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
-    pds::PdsScheme::Cwsp,     pds::PdsScheme::Pmtx,
-};
-constexpr pds::Kind kKinds[] = {pds::Kind::Log, pds::Kind::Hash,
-                                pds::Kind::Alloc};
-
-pds::PdsSpec
-specFor(pds::Kind k)
-{
-    pds::PdsSpec spec;
-    spec.kind = k;
-    spec.sizeClass = 1;
-    spec.numOps = 192;
-    spec.mix = 0;
-    spec.seed = 7;
-    return spec;
-}
-
-struct Point
-{
-    pds::PdsSpec spec;
-    bool baseline = false;
-    pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
-    Tick cycles = 0;
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
 
-    // Row-major grid plus one trailing baseline point per structure.
-    std::vector<Point> points;
-    for (auto k : kKinds) {
-        for (auto s : kSchemes)
-            points.push_back({specFor(k), false, s, 0});
-        points.push_back({specFor(k), true, pds::PdsScheme::LightWsp, 0});
+    constexpr pds::Kind kinds[] = {pds::Kind::Log, pds::Kind::Hash,
+                                   pds::Kind::Alloc};
+    std::vector<harness::RunSpec> specs;  // row-major over the table
+    for (auto k : kinds) {
+        pds::PdsSpec ps;
+        ps.kind = k;
+        ps.sizeClass = 1;
+        ps.numOps = 192;
+        ps.mix = 0;
+        ps.seed = 7;
+        for (auto s : harness::pdsSchemes) {
+            harness::RunSpec spec;
+            spec.workload = ps.toString();
+            spec.scheme = s;
+            specs.push_back(spec);
+        }
     }
 
+    harness::Runner runner;
     auto exec = bench::makeExecutor(args);
-    exec.forEach(points.size(), [&](std::size_t i) {
-        Point &p = points[i];
-        core::SystemConfig cfg =
-            p.baseline ? pds::makePdsBaselineConfig()
-                       : pds::makePdsConfig(p.scheme, pds::PdsRunMode::Perf);
-        cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
-        compiler::CompiledProgram prog;
-        if (p.baseline) {
-            auto built = pds::buildPdsProgram(p.spec, false);
-            prog = compiler::makeUncompiled(std::move(built.module));
-        } else {
-            prog = pds::preparePdsProgram(p.spec, p.scheme,
-                                          pds::PdsRunMode::Perf);
-        }
-        core::System sys(cfg, prog, 1);
-        auto res = sys.run();
-        LWSP_ASSERT(res.completed, "fig19 point did not complete: ",
-                    p.spec.toString());
-        std::string err = pds::checkSemantics(p.spec, sys.execImage());
-        LWSP_ASSERT(err.empty(), "fig19 semantic check failed: ", err);
-        p.cycles = res.cycles;
-        return bench::pointRecord(
-            p.spec.toString(),
-            p.baseline ? "baseline" : pds::pdsSchemeName(p.scheme), cfg,
-            prog, res);
-    });
+    auto slow = exec.slowdowns(runner, specs);
 
     harness::ResultTable table(
         "Fig 19: pds per-op slowdown vs persistence-free baseline "
         "(sz=1, 192 ops, mix 0)");
-    for (auto s : kSchemes)
-        table.addColumn(pds::pdsSchemeName(s));
-
-    constexpr std::size_t stride =
-        sizeof(kSchemes) / sizeof(kSchemes[0]) + 1;
-    for (std::size_t k = 0; k < 3; ++k) {
-        const Point &base = points[k * stride + stride - 1];
-        std::vector<double> row;
-        for (std::size_t s = 0; s + 1 < stride; ++s) {
-            const Point &p = points[k * stride + s];
-            row.push_back(static_cast<double>(p.cycles) /
-                          static_cast<double>(base.cycles));
-        }
-        table.addRow(pds::kindName(kKinds[k]), "pds", row);
-    }
+    constexpr std::size_t cols = std::size(harness::pdsSchemes);
+    for (std::size_t c = 0; c < cols; ++c)
+        table.addColumn(harness::schemeLabel(specs[c]));
+    for (std::size_t k = 0; k < std::size(kinds); ++k)
+        table.addRow(pds::kindName(kinds[k]), "pds",
+                     std::vector<double>(slow.begin() + k * cols,
+                                         slow.begin() + (k + 1) * cols));
 
     bench::finish(table, args, exec);
     return 0;

@@ -14,38 +14,27 @@
  * the pmtx undo-log baseline — in both cases d(i+1) doubles the work
  * redone after a crash.
  *
- * Recovery mode substitutes the LightWSP gated-commit binary for
- * capri/ppa/cwsp's hardware checkpoint mechanisms (their timing knobs
- * are kept) so that recovery is exact — see DESIGN.md §13; the column
- * trend, not cross-scheme magnitude, is the result here. Quick mode
- * runs the identical (already small) grid.
+ * Points run in Recovery mode (RunSpec::mode), which substitutes the
+ * LightWSP gated-commit binary for capri/ppa/cwsp's hardware checkpoint
+ * mechanisms (their timing knobs are kept) so that recovery is exact —
+ * see DESIGN.md §13; the column trend, not cross-scheme magnitude, is
+ * the result here. Quick mode runs the identical (already small) grid.
  */
+
+#include <iterator>
 
 #include "bench_util.hh"
 #include "core/system.hh"
-#include "pds/pds.hh"
 
 using namespace lwsp;
 
 namespace {
 
-constexpr pds::PdsScheme kSchemes[] = {
-    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
-    pds::PdsScheme::Cwsp,     pds::PdsScheme::Pmtx,
-};
 constexpr pds::Kind kKinds[] = {pds::Kind::Log, pds::Kind::Hash,
                                 pds::Kind::Alloc};
 constexpr unsigned kThresholds[] = {8, 16, 32, 64}; ///< compiled schemes
 constexpr unsigned kOpsPerTx[] = {1, 2, 4, 8};      ///< pmtx
 constexpr std::size_t kDists = 4;
-
-struct Point
-{
-    pds::PdsSpec spec;
-    pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
-    unsigned threshold = 0;  ///< 0 for pmtx (opsPerTx is in the spec)
-    Tick latency = 0;        ///< power-on to first served op
-};
 
 } // namespace
 
@@ -54,61 +43,57 @@ main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
 
-    std::vector<Point> points;
+    std::vector<harness::RunSpec> specs;  // row-major over the table
     for (auto k : kKinds) {
-        for (auto s : kSchemes) {
+        for (auto s : harness::pdsSchemes) {
             for (std::size_t d = 0; d < kDists; ++d) {
-                Point p;
-                p.spec.kind = k;
-                p.spec.sizeClass = 1;
-                p.spec.numOps = 128;
-                p.spec.mix = 0;
-                p.spec.seed = 7;
-                p.scheme = s;
-                if (s == pds::PdsScheme::Pmtx)
-                    p.spec.opsPerTx = kOpsPerTx[d];
+                pds::PdsSpec ps;
+                ps.kind = k;
+                ps.sizeClass = 1;
+                ps.numOps = 128;
+                ps.mix = 0;
+                ps.seed = 7;
+                harness::RunSpec spec;
+                spec.scheme = s;
+                spec.mode = pds::PdsRunMode::Recovery;
+                if (s == core::Scheme::NaiveSfence)  // pmtx
+                    ps.opsPerTx = kOpsPerTx[d];
                 else
-                    p.threshold = kThresholds[d];
-                points.push_back(p);
+                    spec.storeThreshold = kThresholds[d];
+                spec.workload = ps.toString();
+                specs.push_back(spec);
             }
         }
     }
 
+    std::vector<Tick> latency(specs.size());  // power-on to first op
     auto exec = bench::makeExecutor(args);
-    exec.forEach(points.size(), [&](std::size_t i) {
-        Point &p = points[i];
-        auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
-        cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
-        auto prog = pds::preparePdsProgram(
-            p.spec, p.scheme, pds::PdsRunMode::Recovery, p.threshold);
-        pds::PdsParams params = pds::PdsModel(p.spec).params();
+    exec.forEach(specs.size(), [&](std::size_t i) {
+        const harness::RunSpec &spec = specs[i];
+        harness::PreparedRun run = harness::prepareRun(spec);
 
-        core::System golden(cfg, prog, 1);
+        core::System golden(run.cfg, run.prog, 1);
         auto gres = golden.run();
         LWSP_ASSERT(gres.completed, "fig20 golden did not complete: ",
-                    p.spec.toString());
+                    spec.workload);
 
-        core::System victim(cfg, prog, 1);
+        core::System victim(run.cfg, run.prog, 1);
         victim.runWithPowerFailure(gres.cycles * 6 / 10);
-        auto rec =
-            core::System::recover(cfg, prog, 1, victim.pmImage(), {});
-        std::uint64_t servedAtBoot = rec->execImage().read(params.served);
-        auto probe = rec->runUntilWordChanges(params.served, servedAtBoot);
+        auto rec = core::System::recover(run.cfg, run.prog, 1,
+                                         victim.pmImage(), {});
+        std::uint64_t servedAtBoot = rec->execImage().read(run.served);
+        auto probe = rec->runUntilWordChanges(run.served, servedAtBoot);
         LWSP_ASSERT(probe.served, "fig20 recovered run served nothing: ",
-                    p.spec.toString(), " scheme ",
-                    pds::pdsSchemeName(p.scheme));
-        p.latency = probe.serveTick;
+                    spec.workload, " scheme ", harness::schemeLabel(spec));
+        latency[i] = probe.serveTick;
 
-        auto record = bench::pointRecord(p.spec.toString(),
-                                         pds::pdsSchemeName(p.scheme), cfg,
-                                         prog, gres);
-        if (p.threshold) // keys the point: specKey folds capri/ppa's away
-            record.spec.workload += ",thr=" + std::to_string(p.threshold);
+        auto record = harness::recordRun(spec, run, gres);
         record.metrics = {
-            {"threshold", static_cast<double>(p.threshold)},
+            {"threshold",
+             static_cast<double>(spec.storeThreshold.value_or(0))},
             {"golden_cycles", static_cast<double>(gres.cycles)},
-            {"latency_cycles", static_cast<double>(p.latency)}};
-        record.simulatedCycles = gres.cycles + p.latency;
+            {"latency_cycles", static_cast<double>(latency[i])}};
+        record.simulatedCycles += latency[i];
         return record;
     });
 
@@ -120,17 +105,14 @@ main(int argc, char **argv)
     for (std::size_t d = 0; d < kDists; ++d)
         table.addColumn("d" + std::to_string(d + 1));
 
-    std::size_t idx = 0;
-    for (auto k : kKinds) {
-        for (auto s : kSchemes) {
-            std::vector<double> row;
-            for (std::size_t d = 0; d < kDists; ++d)
-                row.push_back(
-                    static_cast<double>(points[idx++].latency));
-            table.addRow(std::string(pds::kindName(k)) + "/" +
-                             pds::pdsSchemeName(s),
-                         pds::pdsSchemeName(s), row);
-        }
+    constexpr std::size_t perKind = std::size(harness::pdsSchemes) * kDists;
+    for (std::size_t row = 0; row < specs.size(); row += kDists) {
+        const char *label = harness::schemeLabel(specs[row]);
+        table.addRow(std::string(pds::kindName(kKinds[row / perKind])) +
+                         "/" + label,
+                     label,
+                     std::vector<double>(latency.begin() + row,
+                                         latency.begin() + row + kDists));
     }
 
     bench::finish(table, args, exec);

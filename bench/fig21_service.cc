@@ -21,33 +21,16 @@
 
 #include "bench_util.hh"
 #include "core/system.hh"
-#include "pds/pds.hh"
-#include "serve/serve.hh"
 #include "trace/events.hh"
 
 using namespace lwsp;
 
 namespace {
 
-constexpr pds::PdsScheme kSchemes[] = {
-    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
-    pds::PdsScheme::Cwsp,     pds::PdsScheme::Pmtx,
-};
 constexpr serve::Profile kProfiles[] = {serve::Profile::Varnish,
                                         serve::Profile::Horde};
 constexpr unsigned kMeanIas[] = {2000, 1000, 500};  ///< arrival rates
 constexpr unsigned kBursts[] = {0, 2};              ///< none / heavy
-
-serve::ServeSpec
-specFor(serve::Profile prof)
-{
-    serve::ServeSpec spec;
-    spec.profile = prof;
-    spec.sizeClass = 1;
-    spec.numRequests = 1200;
-    spec.seed = 11;
-    return spec;
-}
 
 /** An arrival-grid cell, as named in the table rows. */
 std::string
@@ -60,7 +43,7 @@ cellName(unsigned ia, unsigned burst)
 struct SimPoint
 {
     serve::Profile profile = serve::Profile::Varnish;
-    pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
+    harness::RunSpec spec;
     std::vector<serve::TailReport> tails;  ///< row-major over the cells
 };
 
@@ -73,10 +56,16 @@ main(int argc, char **argv)
 
     std::vector<SimPoint> sims;
     for (auto prof : kProfiles) {
-        for (auto s : kSchemes) {
+        serve::ServeSpec ss;
+        ss.profile = prof;
+        ss.sizeClass = 1;
+        ss.numRequests = 1200;
+        ss.seed = 11;
+        for (auto s : harness::pdsSchemes) {
             SimPoint p;
             p.profile = prof;
-            p.scheme = s;
+            p.spec.workload = ss.toString();
+            p.spec.scheme = s;
             sims.push_back(std::move(p));
         }
     }
@@ -84,36 +73,28 @@ main(int argc, char **argv)
     auto exec = bench::makeExecutor(args);
     exec.forEach(sims.size(), [&](std::size_t i) {
         SimPoint &p = sims[i];
-        auto wl = serve::buildWorkload(specFor(p.profile));
-
-        auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Perf);
-        cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
-        cfg.traceEnabled = true;
-        cfg.traceMask = trace::categoryBit(trace::Category::Serve) |
-                        trace::categoryBit(trace::Category::Wpq);
+        harness::PreparedRun run = harness::prepareRun(p.spec);
+        const serve::ServeWorkload &wl = *run.serve;
+        run.cfg.traceEnabled = true;
+        run.cfg.traceMask = trace::categoryBit(trace::Category::Serve) |
+                            trace::categoryBit(trace::Category::Wpq);
         // Must hold every Serve+Wpq event of the run: a wrapped ring
         // would silently drop early request marks (extractMarks panics).
-        cfg.traceBufferEvents = std::size_t(1) << 18;
-        pds::PdsParams params = pds::PdsModel(wl.pdsSpec, wl.ops).params();
-        cfg.core.serveMarkAddr = params.served;
+        run.cfg.traceBufferEvents = std::size_t(1) << 18;
+        run.cfg.core.serveMarkAddr = run.served;
 
-        auto prog = pds::preparePdsProgram(wl.pdsSpec, wl.ops, p.scheme,
-                                           pds::PdsRunMode::Perf);
-        core::System sys(cfg, prog, 1);
+        core::System sys(run.cfg, run.prog, 1);
         auto res = sys.run();
         LWSP_ASSERT(res.completed, "fig21 point did not complete: ",
-                    wl.spec.toString(), " scheme ",
-                    pds::pdsSchemeName(p.scheme));
-        std::string err =
-            pds::checkSemantics(wl.pdsSpec, wl.ops, sys.execImage());
+                    p.spec.workload, " scheme ",
+                    harness::schemeLabel(p.spec));
+        std::string err = run.checkSemantics(sys.execImage());
         LWSP_ASSERT(err.empty(), "fig21 semantic check failed: ", err);
         auto marks = serve::LatencyRecorder::extractMarks(
             wl, sys.traceSink()->snapshot());
 
         // Fold the arrival grid (pure post-processing, deterministic).
-        auto record = bench::pointRecord(wl.spec.toString(),
-                                         pds::pdsSchemeName(p.scheme), cfg,
-                                         prog, res);
+        auto record = harness::recordRun(p.spec, run, res);
         for (unsigned ia : kMeanIas) {
             for (unsigned b : kBursts) {
                 serve::ServeSpec aspec = wl.spec;
@@ -152,16 +133,17 @@ main(int argc, char **argv)
     std::ostringstream csvBody;
     csvBody << "workload,suite,p50,p99,p999,max,stall99,wpq99\n";
     for (const SimPoint &p : sims) {
+        const char *label = harness::schemeLabel(p.spec);
         const serve::TailReport *rep = p.tails.data();
         for (unsigned ia : kMeanIas) {
             for (unsigned b : kBursts) {
                 std::string name =
                     std::string(serve::profileName(p.profile)) + "/" +
-                    pds::pdsSchemeName(p.scheme) + "/" + cellName(ia, b);
-                table.addRow(name, pds::pdsSchemeName(p.scheme),
+                    label + "/" + cellName(ia, b);
+                table.addRow(name, label,
                              {rep->p50, rep->p99, rep->p999, rep->max});
-                csvBody << name << ',' << pds::pdsSchemeName(p.scheme)
-                        << ',' << std::setprecision(10) << rep->p50 << ','
+                csvBody << name << ',' << label << ','
+                        << std::setprecision(10) << rep->p50 << ','
                         << rep->p99 << ',' << rep->p999 << ',' << rep->max
                         << ',' << rep->stallAtP99 << ','
                         << rep->wpqOccAtP99 << '\n';

@@ -19,12 +19,13 @@
  * to finish the same tape (re-execution waste + drain/recovery overhead
  * push it below 1).
  *
- * Recovery mode substitutes the LightWSP gated-commit binary for
- * capri/ppa/cwsp's hardware checkpoints (DESIGN.md §13); pmtx rides its
- * own undo-log path, so a storm that lands mid-undo-replay exercises
- * the rollback's own crash consistency. Output-indexed result slots and
- * per-row seeds keep the CSV byte-identical at any --jobs count and
- * either --engine; quick mode runs the identical (already small) grid.
+ * Points run in Recovery mode (RunSpec::mode), which substitutes the
+ * LightWSP gated-commit binary for capri/ppa/cwsp's hardware checkpoints
+ * (DESIGN.md §13); pmtx rides its own undo-log path, so a storm that
+ * lands mid-undo-replay exercises the rollback's own crash consistency.
+ * Output-indexed result slots and per-row seeds keep the CSV
+ * byte-identical at any --jobs count and either --engine; quick mode
+ * runs the identical (already small) grid.
  */
 
 #include <algorithm>
@@ -36,36 +37,19 @@
 #include "core/storm_walk.hh"
 #include "core/system.hh"
 #include "fault/storm.hh"
-#include "pds/pds.hh"
-#include "serve/serve.hh"
 
 using namespace lwsp;
 
 namespace {
 
-constexpr pds::PdsScheme kSchemes[] = {
-    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
-    pds::PdsScheme::Cwsp,     pds::PdsScheme::Pmtx,
-};
 constexpr serve::Profile kProfiles[] = {serve::Profile::Varnish,
                                         serve::Profile::Horde};
 constexpr unsigned kStormEvents = 3; ///< extra failures per lifetime
 
-serve::ServeSpec
-specFor(serve::Profile prof)
-{
-    serve::ServeSpec spec;
-    spec.profile = prof;
-    spec.sizeClass = 1;
-    spec.numRequests = 96;
-    spec.seed = 11;
-    return spec;
-}
-
 struct Point
 {
     serve::Profile profile = serve::Profile::Varnish;
-    pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
+    harness::RunSpec spec;
     unsigned failures = 0;  ///< power failures actually fired
     unsigned boots = 0;     ///< recoveries (incl. re-entered preambles)
     unsigned mttrSamples = 0;
@@ -86,10 +70,17 @@ main(int argc, char **argv)
 
     std::vector<Point> points;
     for (auto prof : kProfiles) {
-        for (auto s : kSchemes) {
+        serve::ServeSpec ss;
+        ss.profile = prof;
+        ss.sizeClass = 1;
+        ss.numRequests = 96;
+        ss.seed = 11;
+        for (auto s : harness::pdsSchemes) {
             Point p;
             p.profile = prof;
-            p.scheme = s;
+            p.spec.workload = ss.toString();
+            p.spec.scheme = s;
+            p.spec.mode = pds::PdsRunMode::Recovery;
             points.push_back(p);
         }
     }
@@ -97,17 +88,14 @@ main(int argc, char **argv)
     auto exec = bench::makeExecutor(args);
     exec.forEach(points.size(), [&](std::size_t i) {
         Point &p = points[i];
-        auto wl = serve::buildWorkload(specFor(p.profile));
-        auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
-        cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
-        auto prog = pds::preparePdsProgram(wl.pdsSpec, wl.ops, p.scheme,
-                                           pds::PdsRunMode::Recovery);
-        pds::PdsParams params = pds::PdsModel(wl.pdsSpec, wl.ops).params();
+        harness::PreparedRun run = harness::prepareRun(p.spec);
+        const core::SystemConfig &cfg = run.cfg;
+        const compiler::CompiledProgram &prog = run.prog;
 
         core::System golden(cfg, prog, 1);
         auto gres = golden.run();
         LWSP_ASSERT(gres.completed, "fig22 golden did not complete: ",
-                    wl.spec.toString());
+                    p.spec.workload);
         p.goldenCycles = gres.cycles;
 
         // The row's storm is deterministic in its grid index, so the
@@ -120,7 +108,7 @@ main(int argc, char **argv)
         auto vr = victim.runWithFailureStorm(gres.cycles * 6 / 10,
                                              storm.takeDrains(pos));
         LWSP_ASSERT(!vr.completed, "fig22 victim outran its failure: ",
-                    wl.spec.toString());
+                    p.spec.workload);
 
         // MTTR probe at every boot: a throwaway replica recovered from
         // the same image, run until the serve counter first moves. Late
@@ -136,8 +124,8 @@ main(int argc, char **argv)
             auto probeSys = core::System::recover(cfg, prog, 1,
                                                   crashed.pmImage(), {});
             std::uint64_t servedAtBoot =
-                probeSys->execImage().read(params.served);
-            auto probe = probeSys->runUntilWordChanges(params.served,
+                probeSys->execImage().read(run.served);
+            auto probe = probeSys->runUntilWordChanges(run.served,
                                                        servedAtBoot);
             if (probe.served) {
                 ++p.mttrSamples;
@@ -154,8 +142,7 @@ main(int argc, char **argv)
         p.boots = walk.boots();
         p.wallCycles = std::accumulate(walk.segmentCycles.begin(),
                                        walk.segmentCycles.end(), vr.cycles);
-        std::string err = pds::checkSemantics(wl.pdsSpec, wl.ops,
-                                              walk.sys->execImage());
+        std::string err = run.checkSemantics(walk.sys->execImage());
         LWSP_ASSERT(err.empty(), "fig22 semantic check failed: ", err);
         if (p.mttrSamples)
             p.mttrMean = static_cast<double>(p.mttrSum) /
@@ -163,9 +150,9 @@ main(int argc, char **argv)
         p.availability = static_cast<double>(p.goldenCycles) /
                          static_cast<double>(p.wallCycles);
 
-        auto record = bench::pointRecord(
-            wl.spec.toString() + "+storm=" + storm.toString(),
-            pds::pdsSchemeName(p.scheme), cfg, prog, walk.result);
+        // Storms are not a RunSpec axis: the record names the lifetime.
+        auto record = harness::recordRun(p.spec, run, walk.result);
+        record.spec.workload += "+storm=" + storm.toString();
         record.outcome.recovered = true;
         record.outcome.recoveryOutcome = walk.outcome;
         record.outcome.failuresSurvived = walk.failures;
@@ -193,13 +180,13 @@ main(int argc, char **argv)
     csvBody << "workload,scheme,failures,boots,mttr_mean,mttr_max,"
                "golden_cycles,wall_cycles,availability\n";
     for (const Point &p : points) {
+        const char *label = harness::schemeLabel(p.spec);
         std::string name =
-            std::string(serve::profileName(p.profile)) + "/" +
-            pds::pdsSchemeName(p.scheme);
-        table.addRow(name, pds::pdsSchemeName(p.scheme),
+            std::string(serve::profileName(p.profile)) + "/" + label;
+        table.addRow(name, label,
                      {p.mttrMean, static_cast<double>(p.mttrMax),
                       100.0 * p.availability});
-        csvBody << name << ',' << pds::pdsSchemeName(p.scheme) << ','
+        csvBody << name << ',' << label << ','
                 << p.failures << ',' << p.boots << ','
                 << std::setprecision(10) << p.mttrMean << ',' << p.mttrMax
                 << ',' << p.goldenCycles << ',' << p.wallCycles << ','

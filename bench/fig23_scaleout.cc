@@ -28,8 +28,6 @@
 
 #include "bench_util.hh"
 #include "core/system.hh"
-#include "pds/pds.hh"
-#include "serve/serve.hh"
 
 using namespace lwsp;
 
@@ -41,18 +39,17 @@ constexpr unsigned kWlThreads[] = {8};
 struct Point
 {
     std::string workload;     ///< "rb/t8", "serve/varnish"
-    noc::TopologyConfig topo;
-    unsigned mcs = 2;
+    harness::RunSpec spec;    ///< its program source, scheme and shape
     bool lossy = false;
-    unsigned threads = 0;     ///< workload rows; 0 = serve row
     core::RunResult res;
 
     /** The row's unique key, first in the CSV. */
     std::string
     name() const
     {
-        return topo.toString() + "/" + std::to_string(mcs) + "/" +
-               workload + (lossy ? "/loss100" : "");
+        return spec.topology->toString() + "/" +
+               std::to_string(*spec.numMcs) + "/" + workload +
+               (lossy ? "/loss100" : "");
     }
 };
 
@@ -68,60 +65,6 @@ faultsFor(const Point &p, std::size_t row)
     return fc;
 }
 
-/** One fig16-style thread point on the `rb` profile. */
-harness::RunRecord
-runWorkloadRow(const Point &p, std::size_t row)
-{
-    harness::RunSpec spec;
-    spec.workload = "rb";
-    spec.scheme = core::Scheme::LightWsp;
-    spec.threads = p.threads;
-    spec.numMcs = p.mcs;
-    spec.topology = p.topo;
-
-    harness::PreparedRun run = harness::prepareRun(spec);
-    run.cfg.faults = faultsFor(p, row);
-    core::System sys(run.cfg, run.prog, run.threads);
-    auto res = sys.run();
-    LWSP_ASSERT(res.completed, "fig23 workload row did not complete: ",
-                p.workload, " mcs=", p.mcs, " ", p.topo.toString());
-    auto rec = bench::pointRecord(p.name(), core::schemeName(spec.scheme),
-                                  run.cfg, run.prog, res);
-    rec.spec.threads = run.threads;
-    rec.outcome.threads = run.threads;
-    return rec;
-}
-
-/** One fig21-style service tape on the pds hash table. */
-harness::RunRecord
-runServeRow(const Point &p, std::size_t row)
-{
-    serve::ServeSpec spec;
-    spec.profile = serve::Profile::Varnish;
-    spec.sizeClass = 1;
-    spec.numRequests = 64;
-    spec.seed = 11;
-    auto wl = serve::buildWorkload(spec);
-
-    auto cfg = pds::makePdsConfig(pds::PdsScheme::LightWsp,
-                                  pds::PdsRunMode::Perf);
-    cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
-    cfg.numMcs = p.mcs;
-    cfg.topology = p.topo;
-    cfg.faults = faultsFor(p, row);
-    auto prog = pds::preparePdsProgram(wl.pdsSpec, wl.ops,
-                                       pds::PdsScheme::LightWsp,
-                                       pds::PdsRunMode::Perf);
-
-    core::System sys(cfg, prog, 1);
-    auto res = sys.run();
-    LWSP_ASSERT(res.completed, "fig23 serve row did not complete: mcs=",
-                p.mcs, " ", p.topo.toString());
-    return bench::pointRecord(p.name(),
-                              pds::pdsSchemeName(pds::PdsScheme::LightWsp),
-                              cfg, prog, res);
-}
-
 } // namespace
 
 int
@@ -134,24 +77,31 @@ main(int argc, char **argv)
     tree4.kind = noc::TopologyConfig::Kind::Tree;
     tree4.radix = 4;
 
+    // The fig21-style service tape lowered onto the pds hash table.
+    serve::ServeSpec tape;
+    tape.profile = serve::Profile::Varnish;
+    tape.sizeClass = 1;
+    tape.numRequests = 64;
+    tape.seed = 11;
+
     std::vector<Point> points;
     for (const auto &topo : {flat, tree4}) {
         for (unsigned mcs : kMcCounts) {
             for (bool lossy : {false, true}) {
+                Point p;
+                p.spec.scheme = core::Scheme::LightWsp;
+                p.spec.numMcs = mcs;
+                p.spec.topology = topo;
+                p.lossy = lossy;
                 for (unsigned t : kWlThreads) {
-                    Point p;
                     p.workload = "rb/t" + std::to_string(t);
-                    p.topo = topo;
-                    p.mcs = mcs;
-                    p.lossy = lossy;
-                    p.threads = t;
+                    p.spec.workload = "rb";
+                    p.spec.threads = t;
                     points.push_back(p);
                 }
-                Point p;
                 p.workload = "serve/varnish";
-                p.topo = topo;
-                p.mcs = mcs;
-                p.lossy = lossy;
+                p.spec.workload = tape.toString();
+                p.spec.threads.reset();
                 points.push_back(p);
             }
         }
@@ -160,8 +110,15 @@ main(int argc, char **argv)
     auto exec = bench::makeExecutor(args);
     exec.forEach(points.size(), [&](std::size_t i) {
         Point &p = points[i];
-        auto rec = p.threads ? runWorkloadRow(p, i) : runServeRow(p, i);
-        p.res = rec.outcome.result;
+        harness::PreparedRun run = harness::prepareRun(p.spec);
+        run.cfg.faults = faultsFor(p, i);
+        core::System sys(run.cfg, run.prog, run.threads);
+        p.res = sys.run();
+        LWSP_ASSERT(p.res.completed, "fig23 row did not complete: ",
+                    p.name());
+        // Faults are not a RunSpec axis: the record is named after the row.
+        auto rec = harness::recordRun(p.spec, run, p.res);
+        rec.spec.workload = p.name();
         rec.metrics = {
             {"bcast_lat_avg", p.res.bcastLatencyAvg},
             {"bcast_lat_max", p.res.bcastLatencyMax},
@@ -189,12 +146,12 @@ main(int argc, char **argv)
                "noc_messages,bcast_retries\n";
     for (const Point &p : points) {
         std::string name = p.name();
-        table.addRow(name, p.topo.toString(),
+        table.addRow(name, p.spec.topology->toString(),
                      {static_cast<double>(p.res.cycles),
                       static_cast<double>(p.res.boundaries),
                       static_cast<double>(p.res.nocMessages)});
-        csvBody << name << ',' << p.topo.toString() << ',' << p.mcs
-                << ',' << p.workload << ','
+        csvBody << name << ',' << p.spec.topology->toString() << ','
+                << *p.spec.numMcs << ',' << p.workload << ','
                 << (p.lossy ? "loss100" : "none") << ',' << p.res.cycles
                 << ',' << p.res.boundaries << ','
                 << std::setprecision(10) << p.res.bcastLatencyAvg << ','

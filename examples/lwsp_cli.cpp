@@ -43,6 +43,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "analysis/wsp_checker.hh"
 #include "compiler/compiler.hh"
@@ -235,24 +236,18 @@ cmdRun(const std::string &app, const std::string &scheme_name,
     }
 
     // Telemetry wants the live System (its sink and stat registry),
-    // which the memoizing Runner doesn't expose — drive one directly,
-    // mirroring Runner::runUncached's warmup setup so the printed
-    // numbers match a plain `run`.
-    const auto &profile = workloads::profileByName(app);
-    auto w = workloads::generate(profile);
-    core::SystemConfig cfg = harness::makeConfig(profile, spec);
-    cfg.warmupInsts =
-        w.estimatedInstsPerThread * profile.threads * 35 / 100;
+    // which the memoizing Runner doesn't expose — drive one directly
+    // from the Runner's own prepareRun, so the printed numbers match a
+    // plain `run`.
+    harness::PreparedRun run = harness::prepareRun(spec);
     if (!trace_out.empty())
-        cfg.traceEnabled = true;
+        run.cfg.traceEnabled = true;
     if (!faults_spec.empty())
-        applyFaultSpec(cfg, faults_spec);
-    compiler::CompiledProgram prog =
-        harness::prepareProgram(std::move(w), spec);
+        applyFaultSpec(run.cfg, faults_spec);
 
-    core::System sys(cfg, prog, profile.threads);
+    core::System sys(run.cfg, run.prog, run.threads);
     auto r = sys.run();
-    printRunStats(scheme_name, profile.threads, r);
+    printRunStats(scheme_name, run.threads, r);
 
     if (const auto *inj = sys.faultInjector()) {
         std::printf("faults        %s\n",
@@ -474,6 +469,9 @@ main(int argc, char **argv)
                             storm, stats_json);
         }
     } catch (const FatalError &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
+    } catch (const std::invalid_argument &e) {  // not a program source
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }

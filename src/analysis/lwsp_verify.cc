@@ -25,6 +25,7 @@
 #include <string>
 
 #include "analysis/wsp_checker.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "compiler/compiler.hh"
 #include "fuzz/random_program.hh"
@@ -168,16 +169,21 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Plain decimal only: "abc" is a usage error, not an exception.
+        auto number = [&](const char *flag, auto &out) {
+            if (!parseDecimal(value(flag), out)) {
+                usage();
+                std::exit(2);
+            }
+        };
         if (arg == "--all") {
             all = true;
         } else if (arg == "--fuzz") {
-            fuzzCount = static_cast<unsigned>(
-                std::stoul(value("--fuzz")));
+            number("--fuzz", fuzzCount);
         } else if (arg == "--base-seed") {
-            baseSeed = std::stoull(value("--base-seed"));
+            number("--base-seed", baseSeed);
         } else if (arg == "--threshold") {
-            threshold = static_cast<unsigned>(
-                std::stoul(value("--threshold")));
+            number("--threshold", threshold);
         } else if (arg == "--no-prune") {
             cfg.pruneCheckpoints = false;
         } else if (arg == "--no-unroll") {

@@ -83,6 +83,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "fuzz/campaign.hh"
 #include "fuzz/recovery_matrix.hh"
 #include "harness/runner.hh"
@@ -175,23 +176,28 @@ main(int argc, char **argv)
             }
             return static_cast<const char *>(argv[++i]);
         };
+        // Counts are plain decimal: a mistyped value is a usage error,
+        // never a silent 0 (a vacuous zero-seed campaign passes).
+        auto number = [&](const char *v, auto &out) {
+            if (!parseDecimal(v, out))
+                std::exit(usage(argv[0]));
+        };
         if (const char *v = arg("--seeds")) {
-            seeds = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            number(v, seeds);
         } else if (const char *v = arg("--base-seed")) {
-            base_seed = std::strtoull(v, nullptr, 10);
+            number(v, base_seed);
         } else if (const char *v = arg("--mode")) {
             mode = v;
         } else if (const char *v = arg("--crash-points")) {
-            opt.minCrashPoints =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            number(v, opt.minCrashPoints);
         } else if (const char *v = arg("--jobs")) {
-            jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            number(v, jobs);
         } else if (const char *v = arg("--replay")) {
             replay_spec = v;
         } else if (const char *v = arg("--trace-out")) {
             trace_out = v;
         } else if (const char *v = arg("--matrix-step")) {
-            matrix_step = std::strtoull(v, nullptr, 10);
+            number(v, matrix_step);
             if (matrix_step == 0)
                 matrix_step = 1;
         } else if (const char *v = arg("--engine")) {

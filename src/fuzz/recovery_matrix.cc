@@ -15,62 +15,37 @@ namespace fuzz {
 
 namespace {
 
-constexpr pds::PdsScheme kSchemes[] = {
-    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
-    pds::PdsScheme::Cwsp,     pds::PdsScheme::Pmtx,
-};
-
 /** Everything one case needs to run: binary, machine, oracles. */
 struct MatrixBuild
 {
-    compiler::CompiledProgram prog;
-    core::SystemConfig cfg;
-    unsigned threads = 1;
+    harness::PreparedRun run;  ///< pds/serve rows carry their oracle
     std::vector<Addr> lockAddrs;
-
-    bool isPds = false;      ///< structure oracle vs golden-image diff
-    pds::PdsSpec pdsSpec;
-    std::vector<pds::PdsOp> pdsOps;
     Addr heapLo = 0, heapHi = 0;  ///< builtin golden-diff heap range
 };
-
-/**
- * Pin the case's MC count / fabric topology on top of the defaults.
- * Deliberately does NOT re-run applySchemeDefaults (its Capri/cWSP
- * branches re-multiply drain intervals); System's constructor derives
- * mc.numMcs / mc.treeAcks from the top-level fields itself.
- */
-void
-applyShape(const MatrixCase &c, core::SystemConfig &cfg)
-{
-    if (c.numMcs != 0)
-        cfg.numMcs = c.numMcs;
-    cfg.topology = c.topology;
-}
 
 MatrixBuild
 build(const MatrixCase &c, const MatrixOptions &opt)
 {
     MatrixBuild b;
-    if (c.source == MatrixCase::Source::Builtin) {
+    if (c.builtin) {
         // A multi-threaded workload program under plain gated LightWSP —
         // the only row with locks and inter-thread interleaving. Shrink
         // level 1 keeps the recovered run short enough for per-cycle
         // crashes.
         FuzzProgram src = randomWorkloadProgram(c.wlSeed, /*shrink=*/1);
-        b.cfg.scheme = core::Scheme::LightWsp;
-        b.cfg.numMcs = 2;
-        b.cfg.mc.wpqEntries = 16;
-        b.cfg.numCores = std::min(4u, src.threads);
-        b.cfg.maxCycles = 30'000'000;
-        b.cfg.applySchemeDefaults();
-        applyShape(c, b.cfg);
-        b.cfg.engine = opt.engine;
+        core::SystemConfig &cfg = b.run.cfg;
+        cfg.scheme = core::Scheme::LightWsp;
+        cfg.numMcs = 2;
+        cfg.mc.wpqEntries = 16;
+        cfg.numCores = std::min(4u, src.threads);
+        cfg.maxCycles = 30'000'000;
+        cfg.applySchemeDefaults();
+        cfg.engine = opt.engine;
         compiler::CompilerConfig ccfg;
         ccfg.storeThreshold = 8;
         compiler::LightWspCompiler comp(ccfg);
-        b.prog = comp.compile(std::move(src.module));
-        b.threads = src.threads;
+        b.run.prog = comp.compile(std::move(src.module));
+        b.run.threads = src.threads;
         b.lockAddrs = src.lockAddrs;
         b.heapLo = workloads::Workload::heapBase;
         b.heapHi = b.heapLo +
@@ -78,29 +53,12 @@ build(const MatrixCase &c, const MatrixOptions &opt)
         return b;
     }
 
-    pds::PdsSpec ps;
-    std::vector<pds::PdsOp> ops;
-    if (c.source == MatrixCase::Source::Serve) {
-        serve::ServeWorkload wl = serve::buildWorkload(c.serve);
-        ps = wl.pdsSpec;
-        ops = std::move(wl.ops);
-        b.prog = pds::preparePdsProgram(ps, ops, c.scheme,
-                                        pds::PdsRunMode::Recovery);
-    } else {
-        ps = c.pds;
-        b.prog = pds::preparePdsProgram(ps, c.scheme,
-                                        pds::PdsRunMode::Recovery);
-    }
-    b.cfg = pds::makePdsConfig(c.scheme, pds::PdsRunMode::Recovery);
-    applyShape(c, b.cfg);
+    harness::RunSpec spec = c.spec;
+    spec.engine = opt.engine;
+    b.run = harness::prepareRun(spec);
     // Tight hang backstop: matrix cases are tiny (tens of ops), so a run
     // that needs anywhere near this many cycles is live-locked.
-    b.cfg.maxCycles = 30'000'000;
-    b.cfg.engine = opt.engine;
-    b.threads = 1;
-    b.isPds = true;
-    b.pdsSpec = ps;
-    b.pdsOps = std::move(ops);
+    b.run.cfg.maxCycles = 30'000'000;
     return b;
 }
 
@@ -110,64 +68,59 @@ std::vector<MatrixCase>
 recoveryMatrixCases()
 {
     std::vector<MatrixCase> cases;
-    constexpr pds::Kind kinds[] = {pds::Kind::Log, pds::Kind::Hash,
-                                   pds::Kind::Alloc};
-    for (auto k : kinds) {
-        for (auto s : kSchemes) {
-            MatrixCase c;
-            c.source = MatrixCase::Source::Pds;
-            c.scheme = s;
-            c.pds.kind = k;
-            c.pds.sizeClass = 0;
-            c.pds.numOps = 24;
-            c.pds.mix = 0;
-            c.pds.seed = 5;
-            // Small transactions put several commit edges and undo
-            // replays inside the crash window (pmtx rows only).
-            c.pds.opsPerTx = 2;
-            c.name = std::string(pds::kindName(k)) + "/" +
-                     pds::pdsSchemeName(s);
-            cases.push_back(c);
-        }
+    auto add = [&cases](const std::string &workload, core::Scheme s,
+                        const std::string &row) -> MatrixCase & {
+        MatrixCase &c = cases.emplace_back();
+        c.spec.workload = workload;
+        c.spec.scheme = s;
+        c.spec.mode = pds::PdsRunMode::Recovery;
+        c.name = row + "/" + harness::schemeLabel(c.spec);
+        return c;
+    };
+
+    pds::PdsSpec ps;
+    ps.sizeClass = 0;
+    ps.numOps = 24;
+    ps.mix = 0;
+    ps.seed = 5;
+    // Small transactions put several commit edges and undo replays
+    // inside the crash window (pmtx rows only).
+    ps.opsPerTx = 2;
+    for (auto k : {pds::Kind::Log, pds::Kind::Hash, pds::Kind::Alloc}) {
+        ps.kind = k;
+        for (auto s : harness::pdsSchemes)
+            add(ps.toString(), s, pds::kindName(k));
     }
-    for (auto s : kSchemes) {
-        MatrixCase c;
-        c.source = MatrixCase::Source::Serve;
-        c.scheme = s;
-        c.serve.profile = serve::Profile::Varnish;
-        c.serve.sizeClass = 0;
-        c.serve.numRequests = 16;
-        c.serve.seed = 3;
-        c.serve.opsPerTx = 2;
-        c.name = std::string("serve/") + pds::pdsSchemeName(s);
-        cases.push_back(c);
-    }
-    MatrixCase c;
-    c.source = MatrixCase::Source::Builtin;
-    c.wlSeed = 2;
-    c.name = "builtin/lightwsp";
-    cases.push_back(c);
+    serve::ServeSpec ss;
+    ss.profile = serve::Profile::Varnish;
+    ss.sizeClass = 0;
+    ss.numRequests = 16;
+    ss.seed = 3;
+    ss.opsPerTx = 2;
+    for (auto s : harness::pdsSchemes)
+        add(ss.toString(), s, "serve");
+
+    MatrixCase &builtin = cases.emplace_back();
+    builtin.builtin = true;
+    builtin.wlSeed = 2;
+    builtin.name = "builtin/lightwsp";
+
     // Scale-out rows: the same hash-table sweep on a sharded 16-MC
     // machine, once on the flat fabric and once on the radix-4
     // aggregation tree — recovery re-entrancy must hold when boundary
     // broadcasts descend a hierarchy and ACKs aggregate at interior
-    // nodes (ISSUE: 64-MC broadcast-mask overflow regression family).
+    // nodes (the 64-MC broadcast-mask overflow regression family).
+    ps.kind = pds::Kind::Hash;
     for (bool tree : {false, true}) {
-        MatrixCase sc;
-        sc.source = MatrixCase::Source::Pds;
-        sc.scheme = pds::PdsScheme::LightWsp;
-        sc.pds.kind = pds::Kind::Hash;
-        sc.pds.sizeClass = 0;
-        sc.pds.numOps = 24;
-        sc.pds.mix = 0;
-        sc.pds.seed = 5;
-        sc.pds.opsPerTx = 2;
-        sc.numMcs = 16;
-        if (tree)
-            sc.topology.kind = noc::TopologyConfig::Kind::Tree;
-        sc.name = std::string("hash16/") +
-                  (tree ? "lightwsp-tree4" : "lightwsp-flat");
-        cases.push_back(sc);
+        MatrixCase &sc =
+            add(ps.toString(), core::Scheme::LightWsp, "hash16");
+        sc.spec.numMcs = 16;
+        if (tree) {
+            noc::TopologyConfig topo;
+            topo.kind = noc::TopologyConfig::Kind::Tree;
+            sc.spec.topology = topo;
+        }
+        sc.name += tree ? "-tree4" : "-flat";
     }
     return cases;
 }
@@ -188,12 +141,8 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
     auto finalCheck = [&b](const core::System &sys,
                            const core::System &golden,
                            const char *what) -> std::string {
-        if (b.isPds) {
-            auto msg = b.pdsOps.empty()
-                           ? pds::checkSemantics(b.pdsSpec,
-                                                 sys.execImage())
-                           : pds::checkSemantics(b.pdsSpec, b.pdsOps,
-                                                 sys.execImage());
+        if (b.run.pds) {
+            auto msg = b.run.checkSemantics(sys.execImage());
             if (!msg.empty())
                 return std::string(what) + " " + msg;
             return {};
@@ -220,7 +169,7 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
         return {};
     };
 
-    core::System golden(b.cfg, b.prog, b.threads);
+    core::System golden(b.run.cfg, b.run.prog, b.run.threads);
     ++res.runsExecuted;
     auto gr = golden.run();
     if (!gr.completed)
@@ -229,7 +178,7 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
     if (auto e = finalCheck(golden, golden, "golden"); !e.empty())
         return fail(e);
 
-    core::System victim(b.cfg, b.prog, b.threads);
+    core::System victim(b.run.cfg, b.run.prog, b.run.threads);
     ++res.runsExecuted;
     auto vr = victim.runWithPowerFailure(gr.cycles * 6 / 10);
     if (vr.completed)
@@ -242,8 +191,9 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
     // run out. @return "" or the failure; the lifetime lands in @p out.
     auto walk = [&](const fault::FailureSchedule &sched,
                     core::StormWalk &out) -> std::string {
-        out = core::recoverThroughStorm(victim, b.cfg, b.prog, b.threads,
-                                        b.lockAddrs, sched, 0);
+        out = core::recoverThroughStorm(victim, b.run.cfg, b.run.prog,
+                                        b.run.threads, b.lockAddrs, sched,
+                                        0);
         res.runsExecuted +=
             static_cast<unsigned>(out.segmentCycles.size());
         res.recoveredExact += out.recoveredExact;

@@ -27,9 +27,7 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "noc/topology.hh"
-#include "pds/pds.hh"
-#include "serve/serve.hh"
+#include "harness/runner.hh"
 #include "sim/simulator.hh"
 
 namespace lwsp {
@@ -38,23 +36,15 @@ namespace fuzz {
 /** One row of the recovery re-entrancy matrix. */
 struct MatrixCase
 {
-    enum class Source : std::uint8_t { Pds, Serve, Builtin };
-
     std::string name;    ///< stable row label ("hash/capri", ...)
-    Source source = Source::Pds;
-    pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
-    pds::PdsSpec pds;        ///< Pds source
-    serve::ServeSpec serve;  ///< Serve source
-    std::uint64_t wlSeed = 1;  ///< Builtin source: workload-program seed
-
     /**
-     * Machine-shape overrides (Fig 23 scale-out rows). numMcs = 0 keeps
-     * the scheme's default shape; nonzero pins the MC count, and a tree
-     * topology reruns the whole crash-at-every-recovery-cycle sweep on
-     * the hierarchical broadcast/ACK fabric.
+     * pds/serve rows: the program source, scheme, Recovery mode and
+     * machine shape (the Fig 23 scale-out rows pin a 16-MC machine and,
+     * once, the tree fabric), prepared by harness::prepareRun.
      */
-    unsigned numMcs = 0;
-    noc::TopologyConfig topology;
+    harness::RunSpec spec;
+    bool builtin = false;      ///< the builtin workload row (spec unused)
+    std::uint64_t wlSeed = 1;  ///< builtin row: workload-program seed
 };
 
 struct MatrixOptions

@@ -1,7 +1,10 @@
 #include "runner.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 
 #include "compiler/compiler.hh"
 
@@ -11,7 +14,53 @@ namespace harness {
 using core::Scheme;
 
 namespace {
+
 std::atomic<SimEngine> gDefaultEngine{SimEngine::Event};
+
+/** The pds scheme core scheme @p s runs a pds/serve program as (none
+ *  for Baseline, which runs the plain build, and for PspIdeal). */
+std::optional<pds::PdsScheme>
+pdsScheme(Scheme s)
+{
+    // pdsSchemes lists the machines in pds::PdsScheme order.
+    const auto *it =
+        std::find(std::begin(pdsSchemes), std::end(pdsSchemes), s);
+    if (it == std::end(pdsSchemes))
+        return std::nullopt;
+    return static_cast<pds::PdsScheme>(it - std::begin(pdsSchemes));
+}
+
+/** The sensitivity overrides @p spec sets, on top of @p cfg. */
+void
+applyOverrides(const RunSpec &spec, core::SystemConfig &cfg)
+{
+    cfg.engine = spec.engine.value_or(defaultSimEngine());
+    if (spec.wpqEntries) {
+        cfg.mc.wpqEntries = *spec.wpqEntries;
+        // The front-end buffer follows WPQ size (§IV-E).
+        cfg.core.febEntries = *spec.wpqEntries;
+    }
+    if (spec.persistPathGBps)
+        cfg.core.pathCyclesPerEntry =
+            bandwidthToCyclesPerGranule(*spec.persistPathGBps);
+    if (spec.pmReadCycles)
+        cfg.mc.pmReadCycles = *spec.pmReadCycles;
+    if (spec.pmWriteCycles)
+        cfg.mc.pmWriteCycles = *spec.pmWriteCycles;
+    if (spec.extraPathLatency)
+        cfg.core.pathLatency += *spec.extraPathLatency;
+    if (spec.drainInterval)
+        cfg.mc.drainInterval = *spec.drainInterval;
+    if (spec.victimPolicy)
+        cfg.victimPolicy = *spec.victimPolicy;
+    if (spec.strictFlushAcks)
+        cfg.mc.strictFlushAcks = *spec.strictFlushAcks;
+    if (spec.numMcs)
+        cfg.numMcs = *spec.numMcs;
+    if (spec.topology)
+        cfg.topology = *spec.topology;
+}
+
 } // namespace
 
 SimEngine
@@ -31,35 +80,9 @@ makeConfig(const workloads::WorkloadProfile &profile, const RunSpec &spec)
 {
     core::SystemConfig cfg;
     cfg.scheme = spec.scheme;
-    cfg.engine = spec.engine.value_or(defaultSimEngine());
-
     cfg.core.branchMissRate = profile.branchMissRate;
     cfg.core.hwRegionStores = profile.hwRegionStores;
-
-    unsigned wpq = spec.wpqEntries.value_or(64);
-    cfg.mc.wpqEntries = wpq;
-    cfg.core.febEntries = wpq;  // front-end buffer follows WPQ size (§IV-E)
-
-    double gbps = spec.persistPathGBps.value_or(4.0);
-    cfg.core.pathCyclesPerEntry = bandwidthToCyclesPerGranule(gbps);
-
-    if (spec.pmReadCycles)
-        cfg.mc.pmReadCycles = *spec.pmReadCycles;
-    if (spec.pmWriteCycles)
-        cfg.mc.pmWriteCycles = *spec.pmWriteCycles;
-    if (spec.extraPathLatency)
-        cfg.core.pathLatency += *spec.extraPathLatency;
-    if (spec.drainInterval)
-        cfg.mc.drainInterval = *spec.drainInterval;
-    if (spec.victimPolicy)
-        cfg.victimPolicy = *spec.victimPolicy;
-    if (spec.strictFlushAcks)
-        cfg.mc.strictFlushAcks = *spec.strictFlushAcks;
-    if (spec.numMcs)
-        cfg.numMcs = *spec.numMcs;
-    if (spec.topology)
-        cfg.topology = *spec.topology;
-
+    applyOverrides(spec, cfg);
     cfg.applySchemeDefaults();
     return cfg;
 }
@@ -83,18 +106,73 @@ prepareProgram(workloads::Workload &&workload, const RunSpec &spec)
 PreparedRun
 prepareRun(const RunSpec &spec)
 {
-    const auto &profile = workloads::profileByName(spec.workload);
-    workloads::Workload w = workloads::generate(profile);
-
     PreparedRun run;
-    run.threads = spec.threads.value_or(profile.threads);
-    run.cfg = makeConfig(profile, spec);
-    // Warm the caches (stand-in for the paper's 10B-instruction
-    // fast-forward): measure only the last ~65% of the run.
-    run.cfg.warmupInsts =
-        w.estimatedInstsPerThread * run.threads * 35 / 100;
-    run.prog = prepareProgram(std::move(w), spec);
+    if (const auto *profile = workloads::findProfile(spec.workload)) {
+        workloads::Workload w = workloads::generate(*profile);
+        run.threads = spec.threads.value_or(profile->threads);
+        run.cfg = makeConfig(*profile, spec);
+        // Warm the caches (stand-in for the paper's 10B-instruction
+        // fast-forward): measure only the last ~65% of the run.
+        run.cfg.warmupInsts =
+            w.estimatedInstsPerThread * run.threads * 35 / 100;
+        run.prog = prepareProgram(std::move(w), spec);
+        return run;
+    }
+
+    pds::PdsSpec ps;
+    serve::ServeSpec ss;
+    std::string perr, serr;
+    if (pds::PdsSpec::parse(spec.workload, ps, perr)) {
+        run.pds = ps;
+    } else if (serve::ServeSpec::parse(spec.workload, ss, serr)) {
+        run.serve = serve::buildWorkload(ss);
+        run.pds = run.serve->pdsSpec;
+    } else {
+        throw std::invalid_argument(
+            "workload '" + spec.workload +
+            "' is not a paper profile, pds spec (" + perr +
+            ") or serve spec (" + serr + ")");
+    }
+    if (spec.threads.value_or(1) != 1)
+        throw std::invalid_argument("pds/serve programs are "
+                                    "single-threaded: " + spec.workload);
+
+    auto scheme = pdsScheme(spec.scheme);
+    if (scheme) {
+        unsigned threshold = spec.storeThreshold.value_or(0);
+        run.cfg = pds::makePdsConfig(*scheme, spec.mode);
+        run.prog = run.serve
+                       ? pds::preparePdsProgram(*run.pds, run.serve->ops,
+                                                *scheme, spec.mode,
+                                                threshold)
+                       : pds::preparePdsProgram(*run.pds, *scheme,
+                                                spec.mode, threshold);
+    } else if (spec.scheme == Scheme::Baseline) {
+        run.cfg = pds::makePdsBaselineConfig();
+        auto built = run.serve
+                         ? pds::buildPdsProgram(*run.pds, false,
+                                                run.serve->ops)
+                         : pds::buildPdsProgram(*run.pds, false);
+        run.prog = compiler::makeUncompiled(std::move(built.module));
+    } else {
+        throw std::invalid_argument(std::string("scheme ") +
+                                    core::schemeName(spec.scheme) +
+                                    " does not run pds programs");
+    }
+    // makePdsConfig already derived the scheme defaults; overrides only
+    // pin fields on top (re-deriving would re-scale drain intervals).
+    applyOverrides(spec, run.cfg);
+    run.served = pds::pdsGeometry(*run.pds).served;
     return run;
+}
+
+std::string
+PreparedRun::checkSemantics(const mem::MemImage &img) const
+{
+    if (!pds)
+        return {};
+    return serve ? pds::checkSemantics(*pds, serve->ops, img)
+                 : pds::checkSemantics(*pds, img);
 }
 
 RunOutcome
@@ -107,14 +185,21 @@ Runner::runUncached(const RunSpec &spec)
 
     core::System sys(run.cfg, run.prog, out.threads);
     out.result = sys.run();
-    if (!out.result.completed)
+    if (run.pds) {
+        LWSP_ASSERT(out.result.completed, "run did not complete: ",
+                    spec.workload, " on ", schemeLabel(spec));
+        std::string err = run.checkSemantics(sys.execImage());
+        LWSP_ASSERT(err.empty(), "semantic check failed: ",
+                    spec.workload, " on ", schemeLabel(spec), ": ", err);
+    } else if (!out.result.completed) {
         warn("run did not complete: ", spec.workload, " on ",
              core::schemeName(spec.scheme));
+    }
     return out;
 }
 
 RunOutcome
-Runner::run(const RunSpec &spec)
+Runner::run(const RunSpec &spec, bool *simulated)
 {
     std::string key = specKey(spec);
     std::promise<RunOutcome> promise;
@@ -131,6 +216,8 @@ Runner::run(const RunSpec &spec)
             future = it->second;
         }
     }
+    if (simulated)
+        *simulated = owner;
     if (owner) {
         // Simulate outside the lock so other points proceed in parallel;
         // same-key requesters block on the shared future instead of
@@ -147,24 +234,27 @@ Runner::run(const RunSpec &spec)
 std::string
 specKey(const RunSpec &spec)
 {
-    // Fold each optional to the value the config/compile path derives
-    // from an unset field (see makeConfig/prepareProgram), so explicit
-    // defaults share the unset point's cache entry. Run reports also key
-    // records that name no paper profile (serve tapes, storm lifetimes,
-    // fabric rows); their unset thread count folds to 0.
+    // Fold each optional to the value prepareRun derives from an unset
+    // field, so explicit defaults share the unset point's cache entry.
+    // A name that is no paper profile keys as a pds/serve program.
     const workloads::WorkloadProfile *profile =
         workloads::findProfile(spec.workload);
     unsigned wpq = spec.wpqEntries.value_or(64);
-    unsigned threshold =
-        core::schemeUsesCompiledBinary(spec.scheme)
-            ? spec.storeThreshold.value_or(wpq / 2)
-            : 0;  // uncompiled schemes never consult the threshold
+    unsigned threshold = 0;  // uncompiled binaries never consult it
+    if (profile) {
+        if (core::schemeUsesCompiledBinary(spec.scheme))
+            threshold = spec.storeThreshold.value_or(wpq / 2);
+    } else if (auto s = pdsScheme(spec.scheme);
+               s && pds::pdsUsesCompiledBinary(*s, spec.mode)) {
+        threshold = spec.storeThreshold.value_or(
+            compiler::CompilerConfig{}.storeThreshold);
+    }
     std::ostringstream os;
     os << spec.workload << '/' << static_cast<int>(spec.scheme) << '/'
        << wpq << '/' << threshold << '/'
        << (spec.victimPolicy ? static_cast<int>(*spec.victimPolicy) : -1)
        << '/' << spec.persistPathGBps.value_or(4.0) << '/'
-       << spec.threads.value_or(profile ? profile->threads : 0) << '/'
+       << spec.threads.value_or(profile ? profile->threads : 1) << '/'
        << spec.pmReadCycles.value_or(350) << '/'
        << spec.pmWriteCycles.value_or(180) << '/'
        << spec.extraPathLatency.value_or(0) << '/'
@@ -173,7 +263,19 @@ specKey(const RunSpec &spec)
        << simEngineName(spec.engine.value_or(defaultSimEngine())) << '/'
        << spec.numMcs.value_or(2) << '/'
        << spec.topology.value_or(noc::TopologyConfig{}).toString();
+    if (!profile)
+        os << (spec.mode == pds::PdsRunMode::Recovery ? "/recovery"
+                                                       : "/perf");
     return os.str();
+}
+
+const char *
+schemeLabel(const RunSpec &spec)
+{
+    if (spec.scheme == Scheme::NaiveSfence &&
+        !workloads::findProfile(spec.workload))
+        return pds::pdsSchemeName(pds::PdsScheme::Pmtx);
+    return core::schemeName(spec.scheme);
 }
 
 RunSpec
@@ -191,6 +293,7 @@ Runner::baselineSpec(const RunSpec &spec)
     base.extraPathLatency.reset();
     base.drainInterval.reset();
     base.strictFlushAcks.reset();
+    base.mode = pds::PdsRunMode::Perf;
     return base;
 }
 

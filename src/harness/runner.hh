@@ -1,8 +1,9 @@
 /**
  * @file
- * Experiment runner: generates a workload, compiles it for the requested
- * scheme, assembles the system configuration (with per-experiment
- * overrides for the sensitivity studies) and runs it.
+ * Experiment runner: builds a point's program from its source (a
+ * paper-app profile, or a pds/serve spec string), compiles it for the
+ * requested scheme, assembles the system configuration (with
+ * per-experiment overrides for the sensitivity studies) and runs it.
  *
  * Every run is memoized behind a canonical spec key, so (a) repeated
  * points — the sensitivity figures all revisit the default LightWSP
@@ -25,6 +26,8 @@
 #include <unordered_map>
 
 #include "core/system.hh"
+#include "pds/pds.hh"
+#include "serve/serve.hh"
 #include "workloads/generator.hh"
 
 namespace lwsp {
@@ -33,15 +36,27 @@ namespace harness {
 /** One experiment point. */
 struct RunSpec
 {
-    std::string workload;                 ///< paper-app profile name
+    /**
+     * The program source: a paper-app profile name ("rb"), or a
+     * pds::PdsSpec ("hash,sz=1,ops=192,...") or serve::ServeSpec
+     * ("varnish,sz=1,reqs=64,...") string. The name spaces do not
+     * overlap; prepareRun rejects any other string.
+     */
+    std::string workload;
+    /** The machine; pds/serve programs run under pdsSchemes or
+     *  Baseline (the plain build, persistence-free). */
     core::Scheme scheme = core::Scheme::LightWsp;
+    /** pds/serve sources: each scheme as published (Perf) or with
+     *  exact recovery for crash experiments (Recovery; DESIGN.md §13).
+     *  Profiles ignore it. */
+    pds::PdsRunMode mode = pds::PdsRunMode::Perf;
 
     // Sensitivity-study overrides (defaults = Table I values).
     std::optional<unsigned> wpqEntries;        ///< Fig 11 (FEB follows)
     std::optional<unsigned> storeThreshold;    ///< Fig 12
     std::optional<mem::VictimPolicy> victimPolicy;  ///< Figs 13/14
     std::optional<double> persistPathGBps;     ///< Fig 15
-    std::optional<unsigned> threads;           ///< Fig 16
+    std::optional<unsigned> threads;           ///< Fig 16 (profiles)
     std::optional<Tick> pmReadCycles;          ///< Fig 17 (CXL)
     std::optional<Tick> pmWriteCycles;         ///< Fig 17
     std::optional<Tick> extraPathLatency;      ///< Fig 17 (CXL link)
@@ -76,6 +91,13 @@ struct RunOutcome
     unsigned failuresSurvived = 0;
 };
 
+/** The five schemes the pds/serve figures compare, in pds::PdsScheme
+ *  order: NaiveSfence runs the pmtx undo-log build. */
+inline constexpr core::Scheme pdsSchemes[] = {
+    core::Scheme::LightWsp, core::Scheme::Capri, core::Scheme::Ppa,
+    core::Scheme::Cwsp, core::Scheme::NaiveSfence,
+};
+
 /** Build the SystemConfig for a (profile, spec) pair. */
 core::SystemConfig makeConfig(const workloads::WorkloadProfile &profile,
                               const RunSpec &spec);
@@ -84,19 +106,30 @@ core::SystemConfig makeConfig(const workloads::WorkloadProfile &profile,
 compiler::CompiledProgram
 prepareProgram(workloads::Workload &&workload, const RunSpec &spec);
 
-/** A paper-profile point, configured and compiled, ready to simulate. */
+/** A point's program, configured and compiled, ready to simulate. */
 struct PreparedRun
 {
     core::SystemConfig cfg;
     compiler::CompiledProgram prog;
     unsigned threads = 1;
+
+    std::optional<pds::PdsSpec> pds;  ///< pds/serve: the structure
+    std::optional<serve::ServeWorkload> serve;  ///< serve: request tape
+    Addr served = 0;  ///< pds/serve: the exec-level served-op counter
+
+    /** pds::checkSemantics on a completed image ("" = pass; always ""
+     *  for profile sources). */
+    std::string checkSemantics(const mem::MemImage &img) const;
 };
 
 /**
- * Everything Runner::run builds before it simulates: generate
- * spec.workload, configure the machine (makeConfig plus the warm-up
- * cut) and compile the program (prepareProgram). A caller that needs a
- * machine knob RunSpec does not carry sets it on the returned cfg.
+ * Everything Runner::run builds before it simulates: a profile is
+ * generated, configured (makeConfig + warm-up cut) and compiled; a
+ * pds/serve spec gets pds::makePdsConfig (or the baseline config) in
+ * spec.mode and pds::preparePdsProgram's binary, overrides on top.
+ * Callers set knobs RunSpec lacks (faults, tracing) on the result.
+ * @throws std::invalid_argument if the workload is no program source
+ *         or the source cannot run under spec's scheme/threads
  */
 PreparedRun prepareRun(const RunSpec &spec);
 
@@ -106,9 +139,11 @@ class Runner
     /**
      * Execute one experiment point (memoized; thread-safe). Concurrent
      * calls with distinct specs simulate in parallel; concurrent calls
-     * with the same spec simulate once.
+     * with the same spec simulate once; @p simulated (if given) says
+     * whether this call was the one that simulated. pds/serve points
+     * must complete and pass PreparedRun::checkSemantics.
      */
-    RunOutcome run(const RunSpec &spec);
+    RunOutcome run(const RunSpec &spec, bool *simulated = nullptr);
 
     /**
      * Cycles of @p spec divided by the matching Baseline run's cycles
@@ -132,12 +167,21 @@ class Runner
 };
 
 /**
- * Canonical memo key: every optional folded to the value makeConfig /
- * prepareProgram would derive anyway, so a spec with an explicit default
- * (e.g. wpqEntries = 64) and one leaving the field unset map to the same
- * simulation. Must stay in lockstep with makeConfig()/prepareProgram().
+ * Canonical memo key: every optional folded to the value prepareRun
+ * would derive anyway, so a spec with an explicit default (e.g.
+ * wpqEntries = 64) and one leaving the field unset map to the same
+ * simulation. Must stay in lockstep with prepareRun(). Never throws:
+ * reports also key records renamed after a run (storm lifetimes,
+ * fabric rows).
  */
 std::string specKey(const RunSpec &spec);
+
+/**
+ * The scheme as reports name it: core::schemeName, except that a
+ * program that is not a paper profile on the NaiveSfence machine is the
+ * "pmtx" undo-log baseline.
+ */
+const char *schemeLabel(const RunSpec &spec);
 
 /**
  * Region-level persistence efficiency, Eq. (1) of the paper:

@@ -79,10 +79,13 @@ SweepExecutor::sweep(std::size_t n,
                       std::chrono::steady_clock::now() - start)
                       .count();
     total_.jobs = jobs_;
-    total_.points += n;
     total_.wallSeconds += secs;
-    for (const auto &rec : records)
-        total_.simulatedCycles += rec.simulatedCycles;
+    for (const auto &rec : records) {
+        if (rec.simulated) {
+            ++total_.points;
+            total_.simulatedCycles += rec.simulatedCycles;
+        }
+    }
     return records;
 }
 
@@ -94,6 +97,19 @@ SweepExecutor::forEach(std::size_t n,
         records_.push_back(std::move(rec));
 }
 
+RunRecord
+recordRun(const RunSpec &spec, const PreparedRun &run,
+          const core::RunResult &res)
+{
+    RunRecord rec;
+    rec.spec = spec;
+    rec.outcome.result = res;
+    rec.outcome.compileStats = run.prog.stats;
+    rec.outcome.threads = run.threads;
+    rec.simulatedCycles = res.cycles;
+    return rec;
+}
+
 namespace {
 
 RunRecord
@@ -101,7 +117,7 @@ runnerRecord(Runner &runner, const RunSpec &spec)
 {
     RunRecord rec;
     rec.spec = spec;
-    rec.outcome = runner.run(spec);
+    rec.outcome = runner.run(spec, &rec.simulated);
     rec.simulatedCycles = rec.outcome.result.cycles;
     return rec;
 }
@@ -244,9 +260,7 @@ writeRunReports(const std::string &path, const std::string &bench,
                    : "none")
            << "\",\"failures_survived\":"
            << rec.outcome.failuresSurvived << ",\"scheme_label\":\""
-           << (rec.schemeLabel.empty() ? core::schemeName(rec.spec.scheme)
-                                       : rec.schemeLabel)
-           << '"';
+           << schemeLabel(rec.spec) << '"';
         const char *sep = ",\"metrics\":{";
         for (const auto &[name, v] : rec.metrics) {
             // Shortest text that reads back as the value; JSON has no

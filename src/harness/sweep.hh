@@ -49,9 +49,9 @@ void parallelFor(unsigned jobs, std::size_t n,
 struct SweepStats
 {
     unsigned jobs = 1;
-    std::size_t points = 0;            ///< simulation points dispatched
+    std::size_t points = 0;            ///< simulations (not memo hits)
     double wallSeconds = 0.0;
-    std::uint64_t simulatedCycles = 0; ///< sum of per-point cycle counts
+    std::uint64_t simulatedCycles = 0; ///< sum over simulated points
 
     double
     pointsPerSecond() const
@@ -76,16 +76,21 @@ struct RunRecord
 {
     RunSpec spec;
     RunOutcome outcome;
-    /** The scheme as the bench labels it ("pmtx", "baseline"); empty =
-     *  core::schemeName(spec.scheme). */
-    std::string schemeLabel;
     /** Bench-specific numbers, written as the record's flat "metrics"
      *  name -> number object in insertion order. */
     std::vector<std::pair<std::string, double>> metrics;
     /** Every cycle the point simulated (golden, victim and probe runs
      *  alike); SweepStats::simulatedCycles sums it. */
     std::uint64_t simulatedCycles = 0;
+    /** False when the Runner memo served the point: it then counts as
+     *  no point and no cycles in SweepStats. */
+    bool simulated = true;
 };
+
+/** The record of @p spec, prepared as @p run, whose reported run ended
+ *  in @p res (simulatedCycles starts at res.cycles). */
+RunRecord recordRun(const RunSpec &spec, const PreparedRun &run,
+                    const core::RunResult &res);
 
 class SweepExecutor
 {
@@ -98,9 +103,9 @@ class SweepExecutor
     /**
      * The one sweep path: @p point(i) simulates point i (into the
      * caller's own slot, for what the table needs beyond the record)
-     * and returns its RunRecord. The executor times the sweep, sums the
-     * records' simulatedCycles and appends them to runRecords() in
-     * index order, whatever the job count.
+     * and returns its RunRecord. The executor times the sweep, counts
+     * the records' points and simulatedCycles and appends them to
+     * runRecords() in index order, whatever the job count.
      */
     void forEach(std::size_t n,
                  const std::function<RunRecord(std::size_t)> &point);
@@ -156,9 +161,9 @@ void writeSweepJson(const std::string &path, const std::string &bench,
  * cycles-percentiles footer. Schema identifier "lwsp-run-report-v1.3"
  * (minor bumps are additive: v1.1 added the percentiles footer, v1.2
  * the per-run recovery lineage — "recovery_outcome", "none" on fresh
- * boots, and "failures_survived" — v1.3 the bench's "scheme_label" and
- * the optional flat "metrics" object); consumers must reject unknown
- * major versions.
+ * boots, and "failures_survived" — v1.3 "scheme_label" (schemeLabel of
+ * the record's spec) and the optional flat "metrics" object); consumers
+ * must reject unknown major versions.
  */
 void writeRunReports(const std::string &path, const std::string &bench,
                      const std::vector<RunRecord> &records,

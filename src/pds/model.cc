@@ -17,6 +17,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "workloads/generator.hh"
 
@@ -108,7 +109,11 @@ PdsSpec::parse(const std::string &text, PdsSpec &out, std::string &err)
             return false;
         }
         std::string key = tok.substr(0, eq);
-        std::uint64_t val = std::strtoull(tok.c_str() + eq + 1, nullptr, 10);
+        std::uint64_t val = 0;
+        if (!parseDecimal(std::string_view(tok).substr(eq + 1), val)) {
+            err = "malformed pds value '" + tok + "'";
+            return false;
+        }
         if (key == "sz") {
             spec.sizeClass = static_cast<unsigned>(val);
         } else if (key == "ops") {

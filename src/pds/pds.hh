@@ -301,6 +301,10 @@ const char *pdsSchemeName(PdsScheme s);
  */
 enum class PdsRunMode : std::uint8_t { Perf, Recovery };
 
+/** @return true if @p s runs the LightWSP-compiled binary in @p mode
+ *  (so preparePdsProgram's storeThreshold applies). */
+bool pdsUsesCompiledBinary(PdsScheme s, PdsRunMode mode);
+
 /** System configuration for running a pds program under @p s. */
 core::SystemConfig makePdsConfig(PdsScheme s, PdsRunMode mode);
 

@@ -78,24 +78,26 @@ makePdsBaselineConfig()
     return cfg;
 }
 
+bool
+pdsUsesCompiledBinary(PdsScheme s, PdsRunMode mode)
+{
+    // pmtx runs its undo-log build uncompiled (its fences are the
+    // persistence points); Perf-mode PPA/Capri run the original binary,
+    // with regions implicit in hardware.
+    if (s == PdsScheme::Pmtx)
+        return false;
+    return mode == PdsRunMode::Recovery || s == PdsScheme::LightWsp ||
+           s == PdsScheme::Cwsp;
+}
+
 namespace {
 
 compiler::CompiledProgram
 prepareBuilt(PdsProgram prog, PdsScheme s, PdsRunMode mode,
              unsigned storeThreshold)
 {
-    const bool pmtx = s == PdsScheme::Pmtx;
-    if (pmtx)
+    if (!pdsUsesCompiledBinary(s, mode))
         return compiler::makeUncompiled(std::move(prog.module));
-
-    const bool compiled =
-        mode == PdsRunMode::Recovery || s == PdsScheme::LightWsp ||
-        s == PdsScheme::Cwsp;
-    if (!compiled) {
-        // Perf mode for PPA/Capri: the original binary; regions are
-        // implicit in hardware.
-        return compiler::makeUncompiled(std::move(prog.module));
-    }
 
     compiler::CompilerConfig ccfg;
     if (storeThreshold != 0)

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace lwsp {
 namespace serve {
@@ -78,7 +79,11 @@ ServeSpec::parse(const std::string &text, ServeSpec &out, std::string &err)
             return false;
         }
         std::string key = tok.substr(0, eq);
-        std::uint64_t val = std::strtoull(tok.c_str() + eq + 1, nullptr, 10);
+        std::uint64_t val = 0;
+        if (!parseDecimal(std::string_view(tok).substr(eq + 1), val)) {
+            err = "malformed serve value '" + tok + "'";
+            return false;
+        }
         if (key == "sz") {
             spec.sizeClass = static_cast<unsigned>(val);
         } else if (key == "reqs") {

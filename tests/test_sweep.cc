@@ -12,14 +12,19 @@
  *     (where context-switch timing caps the jump).
  *
  * Plus the Runner memo: repeated runs of one spec hand back the cached
- * outcome, and SweepExecutor::slowdowns agrees with the scalar
- * slowdownVsBaseline path.
+ * outcome, SweepExecutor::slowdowns agrees with the scalar
+ * slowdownVsBaseline path, and telemetry counts each simulation once.
+ * And prepareRun as the one builder of every program source: pds/serve
+ * spec strings get the pds layer's own config and binary, and anything
+ * else is a clean error.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "core/system.hh"
@@ -318,17 +323,17 @@ TEST(Sweep, ForEachKeepsIndexOrderAtAnyJobCount)
     }
 }
 
-// Run reports carry records whose workload names are not paper profiles
-// (fig19/20's pds programs, fig22's storm lifetimes, fig23's fabric
-// rows): writing one must not abort on the profile lookup behind the
-// record's key, and the v1.3 additions — the bench's scheme label,
-// compile stats and the flat metrics object — must reach the text.
+// Run reports carry records whose workload names are not paper
+// profiles (fig19-21's pds/serve spec strings, fig22's storm lifetimes,
+// fig23's fabric rows): writing one must not abort on the profile lookup
+// behind the record's key, and the v1.3 additions — the scheme label
+// (pmtx: a pds program on the naive-sfence machine), compile stats and
+// the flat metrics object — must reach the text.
 TEST(Sweep, RunReportAcceptsNonProfileWorkloads)
 {
     harness::RunRecord rec;
-    rec.spec.workload = "varnish/lightwsp+storm=x733+x2173+r";
+    rec.spec.workload = "hash,sz=1,ops=192,mix=0,pseed=7";
     rec.spec.scheme = core::Scheme::NaiveSfence;
-    rec.schemeLabel = "pmtx";
     rec.outcome.threads = 1;
     rec.outcome.result.completed = true;
     rec.outcome.compileStats.inputInsts = 192;
@@ -352,10 +357,228 @@ TEST(Sweep, RunReportAcceptsNonProfileWorkloads)
           std::string("\"scheme_label\":\"pmtx\",\"metrics\":{"
                       "\"golden_cycles\":14670,"
                       "\"ia=500/b=2/p99\":16150.5}}"),
-          // Unlabelled records carry their core scheme's name and no
+          // Profile records carry their core scheme's name and no
           // metrics object.
           std::string("\"scheme_label\":\"lightwsp\"}")}) {
         EXPECT_NE(json.str().find(want), std::string::npos)
             << want << "\n" << json.str();
     }
+}
+
+// Sweep telemetry counts simulations, not requests: slowdowns over 2
+// profiles x 3 schemes asks for 12 runs, but the memo simulates the 2
+// shared baselines and the 6 scheme points once each, and a repeated
+// sweep is all memo hits.
+TEST(Sweep, TelemetryCountsEachSimulationOnce)
+{
+    setLogQuiet(true);
+    std::vector<harness::RunSpec> specs;
+    for (const char *app : {"is", "xz"}) {
+        for (core::Scheme s : {core::Scheme::LightWsp, core::Scheme::Capri,
+                               core::Scheme::Ppa}) {
+            harness::RunSpec spec;
+            spec.workload = app;
+            spec.scheme = s;
+            specs.push_back(spec);
+        }
+    }
+
+    harness::Runner runner;
+    harness::SweepExecutor exec(2);
+    exec.slowdowns(runner, specs);
+    const auto &recs = exec.runRecords();
+    ASSERT_EQ(recs.size(), 8u);
+    std::uint64_t cycles = 0;
+    for (const auto &rec : recs)
+        cycles += rec.outcome.result.cycles;
+    EXPECT_EQ(exec.totalStats().points, 8u);
+    EXPECT_EQ(exec.totalStats().simulatedCycles, cycles);
+
+    exec.runAll(runner, specs);
+    EXPECT_EQ(exec.totalStats().points, 8u);
+    EXPECT_EQ(exec.totalStats().simulatedCycles, cycles);
+}
+
+namespace {
+
+/** pds::PdsScheme for each of harness::pdsSchemes, in order. */
+constexpr pds::PdsScheme kPdsSchemes[] = {
+    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
+    pds::PdsScheme::Cwsp, pds::PdsScheme::Pmtx};
+
+pds::PdsSpec
+tinyPds()
+{
+    pds::PdsSpec ps;
+    ps.kind = pds::Kind::Hash;
+    ps.sizeClass = 0;
+    ps.numOps = 24;
+    ps.seed = 5;
+    return ps;
+}
+
+serve::ServeSpec
+tinyServe()
+{
+    serve::ServeSpec ss;
+    ss.sizeClass = 0;
+    ss.numRequests = 16;
+    ss.seed = 3;
+    return ss;
+}
+
+void
+expectConfigEq(const core::SystemConfig &a, const core::SystemConfig &b,
+               const std::string &what)
+{
+    EXPECT_EQ(a.scheme, b.scheme) << what;
+    EXPECT_EQ(a.engine, b.engine) << what;
+    EXPECT_EQ(a.numCores, b.numCores) << what;
+    EXPECT_EQ(a.numMcs, b.numMcs) << what;
+    EXPECT_EQ(a.maxCycles, b.maxCycles) << what;
+    EXPECT_EQ(a.warmupInsts, b.warmupInsts) << what;
+    EXPECT_EQ(a.victimPolicy, b.victimPolicy) << what;
+    EXPECT_EQ(a.cwspDrainFactor, b.cwspDrainFactor) << what;
+    EXPECT_EQ(a.topology.toString(), b.topology.toString()) << what;
+    EXPECT_EQ(a.mc.gatingEnabled, b.mc.gatingEnabled) << what;
+    EXPECT_EQ(a.mc.wpqEntries, b.mc.wpqEntries) << what;
+    EXPECT_EQ(a.mc.drainInterval, b.mc.drainInterval) << what;
+    EXPECT_EQ(a.mc.dramCacheEnabled, b.mc.dramCacheEnabled) << what;
+    EXPECT_EQ(a.core.boundaryPolicy, b.core.boundaryPolicy) << what;
+    EXPECT_EQ(a.core.persistPathEnabled, b.core.persistPathEnabled) << what;
+    EXPECT_EQ(a.core.febEntries, b.core.febEntries) << what;
+    EXPECT_EQ(a.core.pathCyclesPerEntry, b.core.pathCyclesPerEntry) << what;
+}
+
+void
+expectCompileEq(const compiler::CompileStats &a,
+                const compiler::CompileStats &b, const std::string &what)
+{
+    EXPECT_EQ(a.inputInsts, b.inputInsts) << what;
+    EXPECT_EQ(a.outputInsts, b.outputInsts) << what;
+    EXPECT_EQ(a.boundaries, b.boundaries) << what;
+    EXPECT_EQ(a.checkpointStores, b.checkpointStores) << what;
+    EXPECT_EQ(a.prunedCheckpoints, b.prunedCheckpoints) << what;
+}
+
+} // namespace
+
+// prepareRun is the one builder of pds/serve points: under every pds
+// scheme and both run modes it hands back what the pds layer's own
+// config/binary builders give, plus the served counter and the tape.
+TEST(Sweep, PrepareRunBuildsPdsAndServeSources)
+{
+    const pds::PdsSpec ps = tinyPds();
+    const serve::ServeWorkload wl = serve::buildWorkload(tinyServe());
+    for (std::size_t i = 0; i < std::size(kPdsSchemes); ++i) {
+        for (auto mode : {pds::PdsRunMode::Perf, pds::PdsRunMode::Recovery}) {
+            harness::RunSpec spec;
+            spec.scheme = harness::pdsSchemes[i];
+            spec.mode = mode;
+            std::string what = std::string(pds::pdsSchemeName(kPdsSchemes[i])) +
+                               (mode == pds::PdsRunMode::Perf ? "/perf"
+                                                              : "/recovery");
+            auto direct = pds::makePdsConfig(kPdsSchemes[i], mode);
+
+            spec.workload = ps.toString();
+            auto run = harness::prepareRun(spec);
+            expectConfigEq(run.cfg, direct, "pds " + what);
+            expectCompileEq(
+                run.prog.stats,
+                pds::preparePdsProgram(ps, kPdsSchemes[i], mode).stats,
+                "pds " + what);
+            EXPECT_EQ(run.served, pds::PdsModel(ps).params().served);
+            EXPECT_FALSE(run.serve);
+
+            spec.workload = wl.spec.toString();
+            run = harness::prepareRun(spec);
+            expectConfigEq(run.cfg, direct, "serve " + what);
+            expectCompileEq(run.prog.stats,
+                            pds::preparePdsProgram(wl.pdsSpec, wl.ops,
+                                                   kPdsSchemes[i], mode)
+                                .stats,
+                            "serve " + what);
+            EXPECT_EQ(run.served,
+                      pds::PdsModel(wl.pdsSpec, wl.ops).params().served);
+            ASSERT_TRUE(run.serve);
+            EXPECT_EQ(run.serve->ops.size(), wl.ops.size());
+        }
+    }
+
+    harness::RunSpec base;
+    base.workload = ps.toString();
+    base.scheme = core::Scheme::Baseline;
+    expectConfigEq(harness::prepareRun(base).cfg,
+                   pds::makePdsBaselineConfig(), "pds baseline");
+
+    harness::setDefaultSimEngine(SimEngine::Cycle);
+    auto cycle = harness::prepareRun(base);
+    harness::setDefaultSimEngine(SimEngine::Event);
+    EXPECT_EQ(cycle.cfg.engine, SimEngine::Cycle);
+}
+
+// Recovery mode compiles Capri, so its threshold is part of the key;
+// Perf-mode Capri runs the original binary and folds it away.
+TEST(Sweep, CapriRecoveryThresholdsKeyApart)
+{
+    harness::RunSpec a;
+    a.workload = tinyPds().toString();
+    a.scheme = core::Scheme::Capri;
+    a.mode = pds::PdsRunMode::Recovery;
+    a.storeThreshold = 8;
+    harness::RunSpec b = a;
+    b.storeThreshold = 16;
+    EXPECT_NE(harness::specKey(a), harness::specKey(b));
+
+    a.mode = b.mode = pds::PdsRunMode::Perf;
+    EXPECT_EQ(harness::specKey(a), harness::specKey(b));
+}
+
+// Two schemes over one pds program share its baseline: the memo
+// simulates it once, and the pds points pass the Runner's semantic check.
+TEST(Sweep, PdsBaselineSimulatedOnce)
+{
+    setLogQuiet(true);
+    std::vector<harness::RunSpec> specs(2);
+    specs[0].workload = specs[1].workload = tinyPds().toString();
+    specs[0].scheme = core::Scheme::LightWsp;
+    specs[1].scheme = core::Scheme::NaiveSfence;
+
+    harness::Runner runner;
+    harness::SweepExecutor exec(2);
+    auto slow = exec.slowdowns(runner, specs);
+    EXPECT_EQ(exec.totalStats().points, 3u);
+    ASSERT_EQ(exec.runRecords().size(), 3u);
+    EXPECT_EQ(exec.runRecords()[0].spec.scheme, core::Scheme::Baseline);
+    for (double x : slow)
+        EXPECT_GT(x, 1.0);
+}
+
+// A workload that is no program source, or a scheme a pds program
+// cannot run under, is a clean error — never an abort.
+TEST(Sweep, BadWorkloadIsACleanError)
+{
+    harness::RunSpec spec;
+    // Numeric fields are plain decimal: a renamed record such as a
+    // storm lifetime ("<serve spec>+storm=...") is no program source.
+    for (const char *bad :
+         {"no-such-app", "", "hash,sz=9", "varnish,bogus", "log,ops",
+          "hash,ops=12x", "varnish,sz=0,reqs=16,sseed=3+storm=x1"}) {
+        spec.workload = bad;
+        EXPECT_THROW(harness::prepareRun(spec), std::invalid_argument)
+            << bad;
+        EXPECT_FALSE(harness::specKey(spec).empty()) << bad;
+    }
+
+    spec.workload = tinyPds().toString();
+    spec.scheme = core::Scheme::PspIdeal;
+    EXPECT_THROW(harness::prepareRun(spec), std::invalid_argument);
+    spec.scheme = core::Scheme::LightWsp;
+    spec.threads = 2;
+    EXPECT_THROW(harness::prepareRun(spec), std::invalid_argument);
+
+    harness::Runner runner;
+    spec.workload = "no-such-app";
+    spec.threads.reset();
+    EXPECT_THROW(runner.run(spec), std::invalid_argument);
 }
