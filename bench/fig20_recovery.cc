@@ -5,14 +5,13 @@
  * function of checkpoint distance.
  *
  * Each point crashes a structure run at 60% of its crash-free cycle
- * count, rebuilds a system from the surviving PM image with
- * System::recover(), and times how long the recovered machine takes to
- * serve its first operation (the exec-level served counter moving, via
- * System::runUntilWordChanges). Rows are <structure>/<scheme>; the
- * four distance columns d1..d4 map to compiler storeThreshold
- * {8,16,32,64} for the compiled schemes and to opsPerTx {1,2,4,8} for
- * the pmtx undo-log baseline — in both cases d(i+1) doubles the work
- * redone after a crash.
+ * count, rebuilds a system from the surviving PM image and times how
+ * long the recovered machine takes to serve its first operation (the
+ * exec-level served counter moving: PreparedRun::probeMttr). Rows are
+ * <structure>/<scheme>; the four distance columns d1..d4 map to
+ * compiler storeThreshold {8,16,32,64} for the compiled schemes and to
+ * opsPerTx {1,2,4,8} for the pmtx undo-log baseline — in both cases
+ * d(i+1) doubles the work redone after a crash.
  *
  * Points run in Recovery mode (RunSpec::mode), which substitutes the
  * LightWSP gated-commit binary for capri/ppa/cwsp's hardware checkpoint
@@ -79,10 +78,7 @@ main(int argc, char **argv)
 
         core::System victim(run.cfg, run.prog, 1);
         victim.runWithPowerFailure(gres.cycles * 6 / 10);
-        auto rec = core::System::recover(run.cfg, run.prog, 1,
-                                         victim.pmImage(), {});
-        std::uint64_t servedAtBoot = rec->execImage().read(run.served);
-        auto probe = rec->runUntilWordChanges(run.served, servedAtBoot);
+        auto probe = run.probeMttr(victim.pmImage());
         LWSP_ASSERT(probe.served, "fig20 recovered run served nothing: ",
                     spec.workload, " scheme ", harness::schemeLabel(spec));
         latency[i] = probe.serveTick;

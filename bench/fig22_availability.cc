@@ -11,8 +11,7 @@
  * core::recoverThroughStorm exactly as the fuzz storm campaign replays
  * them. Every boot is recovered with System::recoverChecked (a
  * fault-free image must never be classified unrecoverable) and probed
- * for MTTR on a throwaway replica —
- * System::recover + runUntilWordChanges on the serve counter, the fig20
+ * for MTTR on a throwaway replica — PreparedRun::probeMttr, the fig20
  * measurement — while the real lineage machine runs on into the next
  * failure. Availability is goldenCycles / wallCycles: the crash-free
  * run's cycle count over the powered cycles the stormed lifetime needed
@@ -89,10 +88,7 @@ main(int argc, char **argv)
     exec.forEach(points.size(), [&](std::size_t i) {
         Point &p = points[i];
         harness::PreparedRun run = harness::prepareRun(p.spec);
-        const core::SystemConfig &cfg = run.cfg;
-        const compiler::CompiledProgram &prog = run.prog;
-
-        core::System golden(cfg, prog, 1);
+        core::System golden(run.cfg, run.prog, 1);
         auto gres = golden.run();
         LWSP_ASSERT(gres.completed, "fig22 golden did not complete: ",
                     p.spec.workload);
@@ -104,7 +100,7 @@ main(int argc, char **argv)
             0xf22u + 7919u * static_cast<std::uint64_t>(i), kStormEvents,
             gres.cycles / 4 + 1);
         std::size_t pos = 0;
-        core::System victim(cfg, prog, 1);
+        core::System victim(run.cfg, run.prog, 1);
         auto vr = victim.runWithFailureStorm(gres.cycles * 6 / 10,
                                              storm.takeDrains(pos));
         LWSP_ASSERT(!vr.completed, "fig22 victim outran its failure: ",
@@ -121,20 +117,15 @@ main(int argc, char **argv)
                             core::RecoveryOutcome::DetectedUnrecoverable,
                         "fig22 fault-free image unrecoverable: ",
                         verdict.detail);
-            auto probeSys = core::System::recover(cfg, prog, 1,
-                                                  crashed.pmImage(), {});
-            std::uint64_t servedAtBoot =
-                probeSys->execImage().read(run.served);
-            auto probe = probeSys->runUntilWordChanges(run.served,
-                                                       servedAtBoot);
+            auto probe = run.probeMttr(crashed.pmImage());
             if (probe.served) {
                 ++p.mttrSamples;
                 p.mttrSum += probe.serveTick;
                 p.mttrMax = std::max(p.mttrMax, probe.serveTick);
             }
         };
-        auto walk = core::recoverThroughStorm(victim, cfg, prog, 1, {},
-                                              storm, pos, hooks);
+        auto walk = core::recoverThroughStorm(victim, run.cfg, run.prog,
+                                              1, {}, storm, pos, hooks);
         LWSP_ASSERT(walk.error.empty(), "fig22 storm: ", walk.error);
         LWSP_ASSERT(walk.result.completed,
                     "fig22 final boot did not complete");

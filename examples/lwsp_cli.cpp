@@ -34,16 +34,19 @@
  * system.failuresSurvived lineage counters) after the post-recovery
  * run.
  *
- * Schemes: baseline psp-ideal lightwsp naive-sfence ppa capri cwsp.
+ * Schemes: baseline psp-ideal lightwsp naive-sfence ppa capri cwsp, and
+ * pmtx (a pds/serve spec's undo-log build on naive-sfence).
  * `<file.lir>` is the textual LightIR format (see ir/text_io.hh).
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "analysis/wsp_checker.hh"
 #include "compiler/compiler.hh"
@@ -87,6 +90,17 @@ applyFaultSpec(core::SystemConfig &cfg, const std::string &spec)
     cfg.faults.hardenedCkpt = true;
 }
 
+/** A crash point as a fraction of the crash-free run: a plain number
+ *  in [0, 1], nothing trailing ("abc", "0.5x" and "2" are errors). */
+bool
+parseFraction(std::string_view text, double &out)
+{
+    auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), out);
+    return ec == std::errc() && end == text.data() + text.size() &&
+           out >= 0.0 && out <= 1.0;
+}
+
 SimEngine
 engineFromName(const std::string &name)
 {
@@ -98,8 +112,14 @@ engineFromName(const std::string &name)
 }
 
 core::Scheme
-schemeFromName(const std::string &name)
+schemeFromName(const std::string &name, const std::string &app)
 {
+    if (name == pds::pdsSchemeName(pds::PdsScheme::Pmtx)) {
+        if (workloads::findProfile(app))
+            fatal("pmtx runs pds/serve programs, not the paper app '",
+                  app, "' (use naive-sfence)");
+        return core::Scheme::NaiveSfence;
+    }
     for (core::Scheme s :
          {core::Scheme::Baseline, core::Scheme::PspIdeal,
           core::Scheme::LightWsp, core::Scheme::NaiveSfence,
@@ -220,7 +240,7 @@ cmdRun(const std::string &app, const std::string &scheme_name,
 {
     harness::RunSpec spec;
     spec.workload = app;
-    spec.scheme = schemeFromName(scheme_name);
+    spec.scheme = schemeFromName(scheme_name, app);
     if (!engine_name.empty())
         spec.engine = engineFromName(engine_name);
 
@@ -301,32 +321,29 @@ cmdCrash(const std::string &app, double fraction,
             fatal("bad --storm schedule: ", err);
     }
 
-    const auto &profile = workloads::profileByName(app);
-    auto w = workloads::generate(profile);
-    auto lock_addrs = w.lockAddrs;
-    compiler::LightWspCompiler comp;
-    auto prog = comp.compile(std::move(w.module));
-
-    core::SystemConfig cfg;
-    cfg.scheme = core::Scheme::LightWsp;
+    // The machine `run <app> lightwsp` simulates, from power-on (no
+    // warm-up cut: the crash point is a fraction of the whole run).
+    harness::RunSpec spec;
+    spec.workload = app;
     if (!engine_name.empty())
-        cfg.engine = engineFromName(engine_name);
-    cfg.applySchemeDefaults();
+        spec.engine = engineFromName(engine_name);
+    harness::PreparedRun run = harness::prepareRun(spec);
+    run.cfg.warmupInsts = 0;
 
-    core::System golden(cfg, prog, profile.threads);
+    core::System golden(run.cfg, run.prog, run.threads);
     auto gr = golden.run();
 
     // Faults arm the victim only; recovery runs on correct hardware but
     // keeps the hardened checkpoint format so it can verify checksums.
-    core::SystemConfig vcfg = cfg;
-    core::SystemConfig rcfg = cfg;
+    core::SystemConfig vcfg = run.cfg;
+    core::SystemConfig rcfg = run.cfg;
     if (!faults_spec.empty()) {
         applyFaultSpec(vcfg, faults_spec);
         rcfg.faults.hardenedCkpt = true;
     }
 
     std::size_t pos = 0;
-    core::System victim(vcfg, prog, profile.threads);
+    core::System victim(vcfg, run.prog, run.threads);
     auto vr = victim.runWithFailureStorm(
         static_cast<Tick>(fraction * static_cast<double>(gr.cycles)),
         storm.takeDrains(pos));
@@ -369,8 +386,8 @@ cmdCrash(const std::string &app, double fraction,
                         static_cast<unsigned long long>(seg.cycles));
         return {};
     };
-    auto walk = core::recoverThroughStorm(victim, rcfg, prog,
-                                          profile.threads, lock_addrs,
+    auto walk = core::recoverThroughStorm(victim, rcfg, run.prog,
+                                          run.threads, run.lockAddrs,
                                           storm, pos, hooks);
     if (!walk.error.empty()) {
         std::printf("storm         %s\n", walk.error.c_str());
@@ -384,11 +401,9 @@ cmdCrash(const std::string &app, double fraction,
         std::printf("storm         finished before the next failure "
                     "landed\n");
 
-    Addr lo = workloads::Workload::heapBase;
-    Addr hi = lo + static_cast<Addr>(profile.threads) *
-                       profile.footprintBytes;
     bool ok = rr.completed &&
-              sys.pmImage().diffInRange(golden.pmImage(), lo, hi).empty();
+              run.diffAppState(sys.pmImage(), golden.pmImage(), "recovery")
+                  .empty();
     if (!storm.empty())
         std::printf("storm         survived %u power failures (%s)\n",
                     sys.failuresSurvived(), storm.toString().c_str());
@@ -451,6 +466,9 @@ main(int argc, char **argv)
                           engine);
         }
         if (cmd == "crash" && argc >= 4) {
+            double fraction = 0.0;
+            if (!parseFraction(argv[3], fraction))
+                return usage();
             std::string faults, engine, storm, stats_json;
             for (int i = 4; i < argc; ++i) {
                 std::string a = argv[i];
@@ -465,8 +483,8 @@ main(int argc, char **argv)
                 else
                     return usage();
             }
-            return cmdCrash(argv[2], std::atof(argv[3]), faults, engine,
-                            storm, stats_json);
+            return cmdCrash(argv[2], fraction, faults, engine, storm,
+                            stats_json);
         }
     } catch (const FatalError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());

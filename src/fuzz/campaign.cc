@@ -6,13 +6,14 @@
 #include <vector>
 
 #include "analysis/wsp_checker.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "compiler/compiler.hh"
 #include "core/storm_walk.hh"
 #include "core/system.hh"
 #include "fuzz/random_program.hh"
 #include "fuzz/random_workload.hh"
-#include "workloads/generator.hh"
+#include "harness/runner.hh"
 
 namespace lwsp {
 namespace fuzz {
@@ -136,74 +137,76 @@ CaseSpec::parse(const std::string &s, CaseSpec &out, std::string &err)
         }
         std::string key = tok.substr(0, eq);
         std::string val = tok.substr(eq + 1);
-        try {
-            if (key == "seed") {
-                spec.seed = std::stoull(val);
-            } else if (key == "shrink") {
-                spec.shrink = static_cast<unsigned>(std::stoul(val));
-            } else if (key == "mode") {
-                if (val == "campaign") spec.mode = CrashMode::None;
-                else if (val == "single") spec.mode = CrashMode::Single;
-                else if (val == "dbl-rec")
-                    spec.mode = CrashMode::DoubleRecovery;
-                else if (val == "dbl-drain")
-                    spec.mode = CrashMode::DoubleDrain;
-                else if (val == "storm")
-                    spec.mode = CrashMode::Storm;
-                else {
-                    err = "unknown mode '" + val + "'";
-                    return false;
-                }
-            } else if (key == "crash") {
-                spec.crashAt = std::stoull(val);
-            } else if (key == "crash2") {
-                spec.crashAt2 = std::stoull(val);
-            } else if (key == "drain") {
-                spec.drainIters = static_cast<unsigned>(std::stoul(val));
-            } else if (key == "storm") {
-                std::string serr;
-                if (!fault::FailureSchedule::parse(val, spec.storm,
-                                                   serr)) {
-                    err = "bad storm schedule: " + serr;
-                    return false;
-                }
-            } else if (key == "pds") {
-                std::string perr;
-                if (!pds::PdsSpec::parse(val, spec.pds, perr)) {
-                    err = "bad pds spec: " + perr;
-                    return false;
-                }
-            } else if (key == "serve") {
-                std::string serr;
-                if (!serve::ServeSpec::parse(val, spec.serve, serr)) {
-                    err = "bad serve spec: " + serr;
-                    return false;
-                }
-            } else if (key == "fault") {
-                spec.fault = val != "0";
-            } else if (key == "faults") {
-                std::string ferr;
-                if (!fault::FaultConfig::parse(val, spec.faults, ferr)) {
-                    err = "bad faults spec: " + ferr;
-                    return false;
-                }
-            } else if (key == "mcs") {
-                spec.mcs = static_cast<unsigned>(std::stoul(val));
-                if (spec.mcs == 0) {
-                    err = "mcs must be >= 1";
-                    return false;
-                }
-            } else if (key == "topo") {
-                if (!noc::TopologyConfig::parse(val, spec.topo)) {
-                    err = "bad topology '" + val +
-                          "' (want flat|tree<radix>)";
-                    return false;
-                }
-            } else {
-                err = "unknown key '" + key + "'";
+        // Numbers are plain decimal that fit their field: "5x", "-1"
+        // or an overflowing value is an error, never a silent
+        // truncation or wrap onto another case.
+        bool number_ok = true;
+        if (key == "seed") {
+            number_ok = parseDecimal(val, spec.seed);
+        } else if (key == "shrink") {
+            number_ok = parseDecimal(val, spec.shrink);
+        } else if (key == "mode") {
+            if (val == "campaign") spec.mode = CrashMode::None;
+            else if (val == "single") spec.mode = CrashMode::Single;
+            else if (val == "dbl-rec")
+                spec.mode = CrashMode::DoubleRecovery;
+            else if (val == "dbl-drain")
+                spec.mode = CrashMode::DoubleDrain;
+            else if (val == "storm")
+                spec.mode = CrashMode::Storm;
+            else {
+                err = "unknown mode '" + val + "'";
                 return false;
             }
-        } catch (const std::exception &) {
+        } else if (key == "crash") {
+            number_ok = parseDecimal(val, spec.crashAt);
+        } else if (key == "crash2") {
+            number_ok = parseDecimal(val, spec.crashAt2);
+        } else if (key == "drain") {
+            number_ok = parseDecimal(val, spec.drainIters);
+        } else if (key == "storm") {
+            std::string serr;
+            if (!fault::FailureSchedule::parse(val, spec.storm, serr)) {
+                err = "bad storm schedule: " + serr;
+                return false;
+            }
+        } else if (key == "pds") {
+            std::string perr;
+            if (!pds::PdsSpec::parse(val, spec.pds, perr)) {
+                err = "bad pds spec: " + perr;
+                return false;
+            }
+        } else if (key == "serve") {
+            std::string serr;
+            if (!serve::ServeSpec::parse(val, spec.serve, serr)) {
+                err = "bad serve spec: " + serr;
+                return false;
+            }
+        } else if (key == "fault") {
+            spec.fault = val != "0";
+        } else if (key == "faults") {
+            std::string ferr;
+            if (!fault::FaultConfig::parse(val, spec.faults, ferr)) {
+                err = "bad faults spec: " + ferr;
+                return false;
+            }
+        } else if (key == "mcs") {
+            number_ok = parseDecimal(val, spec.mcs);
+            if (number_ok && spec.mcs == 0) {
+                err = "mcs must be >= 1";
+                return false;
+            }
+        } else if (key == "topo") {
+            if (!noc::TopologyConfig::parse(val, spec.topo)) {
+                err = "bad topology '" + val +
+                      "' (want flat|tree<radix>)";
+                return false;
+            }
+        } else {
+            err = "unknown key '" + key + "'";
+            return false;
+        }
+        if (!number_ok) {
             err = "bad value in '" + tok + "'";
             return false;
         }
@@ -219,48 +222,12 @@ namespace {
 
 struct CaseBuild
 {
-    compiler::CompiledProgram prog;
+    /** Program, seed-drawn machine and, for pds/serve cases, the
+     *  structure oracles. */
+    harness::PreparedRun run;
     compiler::CompilerConfig ccfg;
-    core::SystemConfig cfg;
-    unsigned threads = 1;
-    std::size_t footprint = 0;
-    std::vector<Addr> lockAddrs;
     std::string summary;
-
-    /** Pds- or serve-sourced case: arm the structure-specific oracles. */
-    bool isPds = false;
-    /** Post-shrink structure spec (what the oracles replay). */
-    pds::PdsSpec pdsSpec;
-    /**
-     * Serve-sourced case: the lowered request op tape. Non-empty means
-     * the structure oracles replay this injected tape instead of the
-     * spec-generated one.
-     */
-    std::vector<pds::PdsOp> pdsOps;
-    /**
-     * The crash-prefix oracle is sound only for converged compiles on
-     * the gated scheme: non-convergence hands regions to the runtime
-     * WPQ-overflow fallback, which breaks region-prefix durability.
-     */
-    bool pdsPrefixOk = false;
 };
-
-/** Structure-oracle dispatch: generated tape vs injected (serve) tape. */
-std::string
-pdsSemanticsOf(const CaseBuild &bc, const mem::MemImage &img)
-{
-    return bc.pdsOps.empty()
-               ? pds::checkSemantics(bc.pdsSpec, img)
-               : pds::checkSemantics(bc.pdsSpec, bc.pdsOps, img);
-}
-
-std::string
-pdsPrefixOf(const CaseBuild &bc, const mem::MemImage &img)
-{
-    return bc.pdsOps.empty()
-               ? pds::checkCrashPrefix(bc.pdsSpec, img)
-               : pds::checkCrashPrefix(bc.pdsSpec, bc.pdsOps, img);
-}
 
 /**
  * The hardware/compiler shape shared by the structure-program sources
@@ -304,14 +271,18 @@ applyMachineOverrides(const CaseSpec &spec, core::SystemConfig &cfg)
     cfg.topology = spec.topo;
 }
 
-/** The `mcs=N [topo=treeR]` tail every case summary carries. */
+/** The `mcs=N [topo=treeR] wpq=W thr=T [strict]` tail of every case
+ *  summary. */
 std::string
-shapeSummary(const core::SystemConfig &cfg)
+shapeSummary(const core::SystemConfig &cfg,
+             const compiler::CompilerConfig &ccfg)
 {
     std::string s = " mcs=" + std::to_string(cfg.numMcs);
     if (cfg.topology.isTree())
         s += " topo=" + cfg.topology.toString();
-    return s;
+    return s + " wpq=" + std::to_string(cfg.mc.wpqEntries) +
+           " thr=" + std::to_string(ccfg.storeThreshold) +
+           (cfg.mc.strictFlushAcks ? " strict" : "");
 }
 
 /**
@@ -325,52 +296,41 @@ shapeSummary(const core::SystemConfig &cfg)
 CaseBuild
 buildCase(const CaseSpec &spec, bool oracles)
 {
+    CaseBuild out;
     if (spec.source == CaseSpec::Source::Pds ||
         spec.source == CaseSpec::Source::Serve) {
         // Shrink ladder: halve the op tape (pds) / request stream
         // (serve) — the structure geometry is part of the bug surface,
         // so it stays fixed.
-        pds::PdsSpec ps;
-        std::vector<pds::PdsOp> ops;
-        pds::PdsProgram pp;
-        std::string srcSummary;
+        harness::RunSpec rs;
         if (spec.source == CaseSpec::Source::Serve) {
             serve::ServeSpec ss = spec.serve;
             for (unsigned i = 0; i < spec.shrink; ++i)
                 ss.numRequests = std::max(8u, ss.numRequests / 2);
-            serve::ServeWorkload wl = serve::buildWorkload(ss);
-            ps = wl.pdsSpec;
-            ops = std::move(wl.ops);
-            pp = pds::buildPdsProgram(ps, /*pmtx=*/false, ops);
-            srcSummary = "serve " + ss.toString() + " -> " + pp.summary;
+            rs.workload = ss.toString();
         } else {
-            ps = spec.pds;
+            pds::PdsSpec ps = spec.pds;
             for (unsigned i = 0; i < spec.shrink; ++i)
                 ps.numOps = std::max(8u, ps.numOps / 2);
-            pp = pds::buildPdsProgram(ps, /*pmtx=*/false);
-            srcSummary = pp.summary;
+            rs.workload = ps.toString();
         }
-
         core::SystemConfig cfg;
-        compiler::CompilerConfig ccfg;
-        drawStructureConfig(spec.seed, oracles, cfg, ccfg);
+        drawStructureConfig(spec.seed, oracles, cfg, out.ccfg);
         applyMachineOverrides(spec, cfg);
-        compiler::LightWspCompiler comp(ccfg);
 
-        CaseBuild out;
-        out.ccfg = ccfg;
-        out.prog = comp.compile(std::move(pp.module));
-        out.cfg = cfg;
-        out.threads = 1;
-        out.footprint = pp.params.footprintBytes;
-        out.isPds = true;
-        out.pdsSpec = ps;
-        out.pdsOps = std::move(ops);
-        out.pdsPrefixOk = out.prog.stats.thresholdConverged;
-        out.summary = srcSummary + shapeSummary(cfg) +
-                      " wpq=" + std::to_string(cfg.mc.wpqEntries) +
-                      " thr=" + std::to_string(ccfg.storeThreshold) +
-                      (cfg.mc.strictFlushAcks ? " strict" : "");
+        // The plain gated-LightWSP build; the seed-drawn machine
+        // replaces the pds layer's own.
+        rs.scheme = core::Scheme::LightWsp;
+        rs.mode = pds::PdsRunMode::Recovery;
+        rs.storeThreshold = out.ccfg.storeThreshold;
+        out.run = harness::prepareRun(rs);
+        out.run.cfg = cfg;
+        out.summary = "pds:" + out.run.pds->toString() + " footprint=" +
+                      std::to_string(out.run.footprint);
+        if (out.run.serve)
+            out.summary = "serve " + out.run.serve->spec.toString() +
+                          " -> " + out.summary;
+        out.summary += shapeSummary(cfg, out.ccfg);
         return out;
     }
 
@@ -379,7 +339,7 @@ buildCase(const CaseSpec &spec, bool oracles)
                           : randomIrProgram(spec.seed, spec.shrink);
 
     Rng rng(spec.seed ^ 0x66757a7a2d636667ull); // "fuzz-cfg"
-    core::SystemConfig cfg;
+    core::SystemConfig &cfg = out.run.cfg;
     cfg.scheme = core::Scheme::LightWsp;
     static const unsigned mcChoices[] = {1, 2, 2, 4};
     cfg.numMcs = mcChoices[rng.below(4)];
@@ -398,22 +358,14 @@ buildCase(const CaseSpec &spec, bool oracles)
     cfg.applySchemeDefaults();
     applyMachineOverrides(spec, cfg);
 
-    compiler::CompilerConfig ccfg;
     static const unsigned thrChoices[] = {4, 8, 16, 32};
-    ccfg.storeThreshold = thrChoices[rng.below(4)];
-    compiler::LightWspCompiler comp(ccfg);
-
-    CaseBuild out;
-    out.ccfg = ccfg;
-    out.prog = comp.compile(std::move(src.module));
-    out.cfg = cfg;
-    out.threads = src.threads;
-    out.footprint = src.footprintBytes;
-    out.lockAddrs = src.lockAddrs;
-    out.summary = src.summary + shapeSummary(cfg) +
-                  " wpq=" + std::to_string(cfg.mc.wpqEntries) + " thr=" +
-                  std::to_string(ccfg.storeThreshold) +
-                  (cfg.mc.strictFlushAcks ? " strict" : "");
+    out.ccfg.storeThreshold = thrChoices[rng.below(4)];
+    compiler::LightWspCompiler comp(out.ccfg);
+    out.run.prog = comp.compile(std::move(src.module));
+    out.run.threads = src.threads;
+    out.run.footprint = src.footprintBytes;
+    out.run.lockAddrs = src.lockAddrs;
+    out.summary = src.summary + shapeSummary(cfg, out.ccfg);
     return out;
 }
 
@@ -429,7 +381,8 @@ Golden
 runGolden(const CaseBuild &bc, std::uint64_t &checks, unsigned &runs)
 {
     Golden g;
-    g.sys = std::make_unique<core::System>(bc.cfg, bc.prog, bc.threads);
+    const harness::PreparedRun &run = bc.run;
+    g.sys = std::make_unique<core::System>(run.cfg, run.prog, run.threads);
     ++runs;
     auto r = g.sys->run();
     g.cycles = r.cycles;
@@ -444,42 +397,12 @@ runGolden(const CaseBuild &bc, std::uint64_t &checks, unsigned &runs)
         g.error = "golden run did not complete (live-lock?)";
         return g;
     }
-    if (bc.isPds) {
-        // Structure-walk the clean final state: a mismatch here is an
-        // emission/model bug, not a crash-consistency one — report it
-        // before any power failures muddy the water.
-        if (auto msg = pdsSemanticsOf(bc, g.sys->execImage());
-            !msg.empty()) {
-            g.error = "golden " + msg;
-        }
-    }
+    // Structure-walk the clean final state (pds/serve cases): a
+    // mismatch here is an emission/model bug, not a crash-consistency
+    // one — report it before any power failures muddy the water.
+    if (auto msg = run.checkSemantics(g.sys->execImage()); !msg.empty())
+        g.error = "golden " + msg;
     return g;
-}
-
-std::string
-diffAppState(const core::System &got, const core::System &golden,
-             const CaseBuild &bc, const char *what)
-{
-    Addr lo = workloads::Workload::heapBase;
-    Addr hi =
-        lo + static_cast<Addr>(bc.threads) * bc.footprint;
-    auto heap = got.pmImage().diffInRange(golden.pmImage(), lo, hi);
-    if (!heap.empty()) {
-        std::ostringstream os;
-        os << what << ": heap differs from golden at 0x" << std::hex
-           << heap[0] << " (" << std::dec << heap.size() << " words)";
-        return os.str();
-    }
-    Addr sh = workloads::Workload::sharedBase;
-    auto shared = got.pmImage().diffInRange(golden.pmImage(), sh,
-                                            sh + 4096);
-    if (!shared.empty()) {
-        std::ostringstream os;
-        os << what << ": shared page differs from golden at 0x"
-           << std::hex << shared[0];
-        return os.str();
-    }
-    return {};
 }
 
 /** Harvest a finished system's oracle; returns a violation or "". */
@@ -511,7 +434,8 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
     // faults (pt.faults) likewise arm only the victim; recovery keeps
     // just the hardened checkpoint format so it can decode and verify
     // what the hardened victim persisted.
-    core::SystemConfig vcfg = bc.cfg;
+    const harness::PreparedRun &run = bc.run;
+    core::SystemConfig vcfg = run.cfg;
     vcfg.mc.faultReleaseEarly = pt.fault;
     bool hw_faults = pt.faults.anyArmed();
     if (hw_faults) {
@@ -521,14 +445,14 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
         if (vcfg.faults.seed == 0)
             vcfg.faults.seed = pt.seed;
     }
-    core::SystemConfig rcfg = bc.cfg;
+    core::SystemConfig rcfg = run.cfg;
     rcfg.faults.hardenedCkpt = hw_faults;
     if (capture)
         vcfg.traceEnabled = true;
 
     const fault::FailureSchedule sched = pt.schedule();
     std::size_t pos = 0;
-    core::System victim(vcfg, bc.prog, bc.threads);
+    core::System victim(vcfg, run.prog, run.threads);
     ++runs;
     core::RunResult vr =
         victim.runWithFailureStorm(pt.crashAt, sched.takeDrains(pos));
@@ -544,14 +468,12 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
     // structure-walk oracle over the final image.
     auto finalCheck = [&](const core::System &sys,
                           const char *what) -> std::string {
-        if (auto e = diffAppState(sys, golden, bc, what); !e.empty())
+        if (auto e = run.diffAppState(sys.pmImage(), golden.pmImage(),
+                                      what);
+            !e.empty())
             return e;
-        if (bc.isPds) {
-            if (auto msg = pdsSemanticsOf(bc, sys.execImage());
-                !msg.empty()) {
-                return std::string(what) + " " + msg;
-            }
-        }
+        if (auto msg = run.checkSemantics(sys.execImage()); !msg.empty())
+            return std::string(what) + " " + msg;
         return {};
     };
 
@@ -562,10 +484,10 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
     if (!victim.crashed())
         return "victim neither completed nor crashed";
 
-    if (bc.isPds && bc.pdsPrefixOk && !pt.fault && !hw_faults) {
-        // Gated LightWSP + converged compile: the crash image must be a
+    if (!pt.fault && !hw_faults) {
+        // Fault-free gated LightWSP: a pds crash image must be a
         // program-order prefix of the recorded store stream.
-        if (auto msg = pdsPrefixOf(bc, victim.pmImage());
+        if (auto msg = run.checkCrashPrefix(victim.pmImage());
             !msg.empty()) {
             return "victim " + msg;
         }
@@ -580,7 +502,7 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
         return harvestOracle(sys, what.c_str(), checks);
     };
     core::StormWalk walk = core::recoverThroughStorm(
-        victim, rcfg, bc.prog, bc.threads, bc.lockAddrs, sched, pos,
+        victim, rcfg, run.prog, run.threads, run.lockAddrs, sched, pos,
         hooks);
     runs += static_cast<unsigned>(walk.segmentCycles.size());
     tally.recoveredExact += walk.recoveredExact;
@@ -870,7 +792,7 @@ staticCheck(const CaseSpec &spec)
 {
     CaseBuild bc = buildCase(spec, /*oracles=*/false);
     analysis::CheckReport rep =
-        analysis::checkCompiledProgram(bc.prog, bc.ccfg);
+        analysis::checkCompiledProgram(bc.run.prog, bc.ccfg);
     StaticCheckResult out;
     out.ok = rep.ok();
     out.summary = bc.summary;

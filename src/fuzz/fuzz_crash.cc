@@ -46,10 +46,11 @@
  *
  * --recovery-matrix runs the crash-at-every-cycle-of-recovery matrix
  * (fuzz/recovery_matrix.hh) instead of seeded campaigns: every scheme x
- * {log, hash, alloc, serve} case plus a builtin workload case is crashed
- * once, recovered, and the recovery run is itself power-failed at every
- * --matrix-step-th cycle (default 1 = exhaustive); each interrupted
- * recovery must recover again and converge to the same final state.
+ * {log, hash, alloc, serve} case, a builtin workload case and two
+ * 16-MC hash cases (flat, tree4) are crashed once, recovered, and the
+ * recovery run is itself power-failed at every --matrix-step-th cycle
+ * (default 1 = exhaustive); each interrupted recovery must recover
+ * again and converge to the same final state.
  * --engine selects the clock driver for matrix runs (A/B determinism).
  *
  * --faults runs a hardware fault-injection campaign instead: each seed

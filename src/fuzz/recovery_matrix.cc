@@ -1,39 +1,28 @@
 #include "fuzz/recovery_matrix.hh"
 
-#include <memory>
-#include <sstream>
 #include <utility>
 
 #include "compiler/compiler.hh"
 #include "core/storm_walk.hh"
 #include "core/system.hh"
 #include "fuzz/random_workload.hh"
-#include "workloads/generator.hh"
 
 namespace lwsp {
 namespace fuzz {
 
 namespace {
 
-/** Everything one case needs to run: binary, machine, oracles. */
-struct MatrixBuild
-{
-    harness::PreparedRun run;  ///< pds/serve rows carry their oracle
-    std::vector<Addr> lockAddrs;
-    Addr heapLo = 0, heapHi = 0;  ///< builtin golden-diff heap range
-};
-
-MatrixBuild
+harness::PreparedRun
 build(const MatrixCase &c, const MatrixOptions &opt)
 {
-    MatrixBuild b;
+    harness::PreparedRun run;
     if (c.builtin) {
         // A multi-threaded workload program under plain gated LightWSP —
         // the only row with locks and inter-thread interleaving. Shrink
         // level 1 keeps the recovered run short enough for per-cycle
         // crashes.
         FuzzProgram src = randomWorkloadProgram(c.wlSeed, /*shrink=*/1);
-        core::SystemConfig &cfg = b.run.cfg;
+        core::SystemConfig &cfg = run.cfg;
         cfg.scheme = core::Scheme::LightWsp;
         cfg.numMcs = 2;
         cfg.mc.wpqEntries = 16;
@@ -44,22 +33,20 @@ build(const MatrixCase &c, const MatrixOptions &opt)
         compiler::CompilerConfig ccfg;
         ccfg.storeThreshold = 8;
         compiler::LightWspCompiler comp(ccfg);
-        b.run.prog = comp.compile(std::move(src.module));
-        b.run.threads = src.threads;
-        b.lockAddrs = src.lockAddrs;
-        b.heapLo = workloads::Workload::heapBase;
-        b.heapHi = b.heapLo +
-                   static_cast<Addr>(src.threads) * src.footprintBytes;
-        return b;
+        run.prog = comp.compile(std::move(src.module));
+        run.threads = src.threads;
+        run.lockAddrs = src.lockAddrs;
+        run.footprint = src.footprintBytes;
+        return run;
     }
 
     harness::RunSpec spec = c.spec;
     spec.engine = opt.engine;
-    b.run = harness::prepareRun(spec);
+    run = harness::prepareRun(spec);
     // Tight hang backstop: matrix cases are tiny (tens of ops), so a run
     // that needs anywhere near this many cycles is live-locked.
-    b.run.cfg.maxCycles = 30'000'000;
-    return b;
+    run.cfg.maxCycles = 30'000'000;
+    return run;
 }
 
 } // namespace
@@ -136,40 +123,21 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
         return res;
     };
 
-    MatrixBuild b = build(c, opt);
+    const harness::PreparedRun run = build(c, opt);
 
-    auto finalCheck = [&b](const core::System &sys,
-                           const core::System &golden,
-                           const char *what) -> std::string {
-        if (b.run.pds) {
-            auto msg = b.run.checkSemantics(sys.execImage());
-            if (!msg.empty())
-                return std::string(what) + " " + msg;
-            return {};
-        }
-        auto heap =
-            sys.pmImage().diffInRange(golden.pmImage(), b.heapLo,
-                                      b.heapHi);
-        if (!heap.empty()) {
-            std::ostringstream os;
-            os << what << ": heap differs from golden at 0x" << std::hex
-               << heap[0] << " (" << std::dec << heap.size()
-               << " words)";
-            return os.str();
-        }
-        Addr sh = workloads::Workload::sharedBase;
-        auto shared =
-            sys.pmImage().diffInRange(golden.pmImage(), sh, sh + 4096);
-        if (!shared.empty()) {
-            std::ostringstream os;
-            os << what << ": shared page differs from golden at 0x"
-               << std::hex << shared[0];
-            return os.str();
-        }
+    // pds/serve rows check structure semantics, the builtin row the
+    // golden application state.
+    auto finalCheck = [&run](const core::System &sys,
+                             const core::System &golden,
+                             const char *what) -> std::string {
+        if (!run.pds)
+            return run.diffAppState(sys.pmImage(), golden.pmImage(), what);
+        if (auto msg = run.checkSemantics(sys.execImage()); !msg.empty())
+            return std::string(what) + " " + msg;
         return {};
     };
 
-    core::System golden(b.run.cfg, b.run.prog, b.run.threads);
+    core::System golden(run.cfg, run.prog, run.threads);
     ++res.runsExecuted;
     auto gr = golden.run();
     if (!gr.completed)
@@ -178,7 +146,7 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
     if (auto e = finalCheck(golden, golden, "golden"); !e.empty())
         return fail(e);
 
-    core::System victim(b.run.cfg, b.run.prog, b.run.threads);
+    core::System victim(run.cfg, run.prog, run.threads);
     ++res.runsExecuted;
     auto vr = victim.runWithPowerFailure(gr.cycles * 6 / 10);
     if (vr.completed)
@@ -191,8 +159,8 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
     // run out. @return "" or the failure; the lifetime lands in @p out.
     auto walk = [&](const fault::FailureSchedule &sched,
                     core::StormWalk &out) -> std::string {
-        out = core::recoverThroughStorm(victim, b.run.cfg, b.run.prog,
-                                        b.run.threads, b.lockAddrs, sched,
+        out = core::recoverThroughStorm(victim, run.cfg, run.prog,
+                                        run.threads, run.lockAddrs, sched,
                                         0);
         res.runsExecuted +=
             static_cast<unsigned>(out.segmentCycles.size());

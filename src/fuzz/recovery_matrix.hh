@@ -16,8 +16,10 @@
  * Cases cover all five schemes (LightWSP / Capri / PPA / cWSP in
  * Recovery mode, plus the pmtx undo-log baseline, whose rollback
  * preamble gets crashed mid-undo-replay by the small-t points) over the
- * three pds structures and a serve request tape, plus a multi-threaded
- * builtin workload program under LightWSP.
+ * three pds structures and a serve request tape, a multi-threaded
+ * builtin workload program under LightWSP, and the hash table on a
+ * sharded 16-MC LightWSP machine over the flat and the radix-4 tree
+ * fabric — 23 cases. Every case runs from one harness::PreparedRun.
  */
 
 #ifndef LWSP_FUZZ_RECOVERY_MATRIX_HH
@@ -68,7 +70,8 @@ struct MatrixCaseResult
     unsigned recoveredDegraded = 0;
 };
 
-/** The standard matrix: 3 pds kinds x 5 schemes + serve x 5 + builtin. */
+/** The standard matrix, 23 cases: 3 pds kinds x 5 schemes, serve x 5,
+ *  builtin, and hash16 on the flat and the tree4 fabric. */
 std::vector<MatrixCase> recoveryMatrixCases();
 
 /** Run one case; opt.step > 1 subsamples the crash points. */

@@ -115,6 +115,8 @@ prepareRun(const RunSpec &spec)
         // fast-forward): measure only the last ~65% of the run.
         run.cfg.warmupInsts =
             w.estimatedInstsPerThread * run.threads * 35 / 100;
+        run.lockAddrs = w.lockAddrs;
+        run.footprint = profile->footprintBytes;
         run.prog = prepareProgram(std::move(w), spec);
         return run;
     }
@@ -137,6 +139,7 @@ prepareRun(const RunSpec &spec)
         throw std::invalid_argument("pds/serve programs are "
                                     "single-threaded: " + spec.workload);
 
+    pds::PdsParams params;
     auto scheme = pdsScheme(spec.scheme);
     if (scheme) {
         unsigned threshold = spec.storeThreshold.value_or(0);
@@ -144,15 +147,17 @@ prepareRun(const RunSpec &spec)
         run.prog = run.serve
                        ? pds::preparePdsProgram(*run.pds, run.serve->ops,
                                                 *scheme, spec.mode,
-                                                threshold)
+                                                threshold, &params)
                        : pds::preparePdsProgram(*run.pds, *scheme,
-                                                spec.mode, threshold);
+                                                spec.mode, threshold,
+                                                &params);
     } else if (spec.scheme == Scheme::Baseline) {
         run.cfg = pds::makePdsBaselineConfig();
         auto built = run.serve
                          ? pds::buildPdsProgram(*run.pds, false,
                                                 run.serve->ops)
                          : pds::buildPdsProgram(*run.pds, false);
+        params = built.params;
         run.prog = compiler::makeUncompiled(std::move(built.module));
     } else {
         throw std::invalid_argument(std::string("scheme ") +
@@ -162,7 +167,8 @@ prepareRun(const RunSpec &spec)
     // makePdsConfig already derived the scheme defaults; overrides only
     // pin fields on top (re-deriving would re-scale drain intervals).
     applyOverrides(spec, run.cfg);
-    run.served = pds::pdsGeometry(*run.pds).served;
+    run.footprint = params.footprintBytes;
+    run.served = params.served;
     return run;
 }
 
@@ -173,6 +179,47 @@ PreparedRun::checkSemantics(const mem::MemImage &img) const
         return {};
     return serve ? pds::checkSemantics(*pds, serve->ops, img)
                  : pds::checkSemantics(*pds, img);
+}
+
+std::string
+PreparedRun::checkCrashPrefix(const mem::MemImage &img) const
+{
+    if (!pds || !prog.stats.thresholdConverged)
+        return {};
+    return serve ? pds::checkCrashPrefix(*pds, serve->ops, img)
+                 : pds::checkCrashPrefix(*pds, img);
+}
+
+std::string
+PreparedRun::diffAppState(const mem::MemImage &got,
+                          const mem::MemImage &golden,
+                          const char *what) const
+{
+    Addr lo = workloads::Workload::heapBase;
+    Addr hi = lo + static_cast<Addr>(threads) * footprint;
+    auto heap = got.diffInRange(golden, lo, hi);
+    if (!heap.empty()) {
+        std::ostringstream os;
+        os << what << ": heap differs from golden at 0x" << std::hex
+           << heap[0] << " (" << std::dec << heap.size() << " words)";
+        return os.str();
+    }
+    Addr sh = workloads::Workload::sharedBase;
+    auto shared = got.diffInRange(golden, sh, sh + 4096);
+    if (!shared.empty()) {
+        std::ostringstream os;
+        os << what << ": shared page differs from golden at 0x"
+           << std::hex << shared[0];
+        return os.str();
+    }
+    return {};
+}
+
+core::ServeProbe
+PreparedRun::probeMttr(const mem::MemImage &pm) const
+{
+    auto sys = core::System::recover(cfg, prog, threads, pm, lockAddrs);
+    return sys->runUntilWordChanges(served, sys->execImage().read(served));
 }
 
 RunOutcome

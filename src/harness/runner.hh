@@ -106,12 +106,15 @@ core::SystemConfig makeConfig(const workloads::WorkloadProfile &profile,
 compiler::CompiledProgram
 prepareProgram(workloads::Workload &&workload, const RunSpec &spec);
 
-/** A point's program, configured and compiled, ready to simulate. */
+/** A point's program, configured and compiled, ready to simulate; the
+ *  one record of a crash-testable program and its checks. */
 struct PreparedRun
 {
     core::SystemConfig cfg;
     compiler::CompiledProgram prog;
     unsigned threads = 1;
+    std::vector<Addr> lockAddrs;  ///< persisted lock words (recovery)
+    std::size_t footprint = 0;    ///< per-thread heap partition bytes
 
     std::optional<pds::PdsSpec> pds;  ///< pds/serve: the structure
     std::optional<serve::ServeWorkload> serve;  ///< serve: request tape
@@ -120,13 +123,34 @@ struct PreparedRun
     /** pds::checkSemantics on a completed image ("" = pass; always ""
      *  for profile sources). */
     std::string checkSemantics(const mem::MemImage &img) const;
+
+    /**
+     * pds::checkCrashPrefix on a crash image of this program on gated
+     * LightWSP ("" = pass). Always "" for profile sources and for
+     * compiles that did not converge: their regions fall back to the
+     * runtime WPQ-overflow flush, which breaks region-prefix
+     * durability.
+     */
+    std::string checkCrashPrefix(const mem::MemImage &img) const;
+
+    /** @p got vs @p golden over the application state — every
+     *  thread's heap partition plus the 4 KB shared page ("" = equal,
+     *  else "<what>: heap|shared page differs from golden at ..."). */
+    std::string diffAppState(const mem::MemImage &got,
+                             const mem::MemImage &golden,
+                             const char *what) const;
+
+    /** MTTR probe: recover a replica from the crash image @p pm and
+     *  run it until the served counter first moves. */
+    core::ServeProbe probeMttr(const mem::MemImage &pm) const;
 };
 
 /**
  * Everything Runner::run builds before it simulates: a profile is
- * generated, configured (makeConfig + warm-up cut) and compiled; a
- * pds/serve spec gets pds::makePdsConfig (or the baseline config) in
- * spec.mode and pds::preparePdsProgram's binary, overrides on top.
+ * generated, configured (makeConfig + warm-up cut) and compiled, its
+ * lock words and partition size kept; a pds/serve spec gets
+ * pds::makePdsConfig (or the baseline config) in spec.mode and
+ * pds::preparePdsProgram's binary, overrides on top.
  * Callers set knobs RunSpec lacks (faults, tracing) on the result.
  * @throws std::invalid_argument if the workload is no program source
  *         or the source cannot run under spec's scheme/threads

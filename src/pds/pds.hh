@@ -315,17 +315,20 @@ core::SystemConfig makePdsBaselineConfig();
  * Build + prepare the binary for @p s in @p mode. storeThreshold feeds
  * the compiler for compiled schemes (0 = compiler default); for Pmtx
  * the program is the undo-log build run uncompiled (its fences are the
- * persistence points).
+ * persistence points). @p params (if given) receives the built
+ * program's geometry, tape-dependent footprint included.
  */
 compiler::CompiledProgram
 preparePdsProgram(const PdsSpec &spec, PdsScheme s, PdsRunMode mode,
-                  unsigned storeThreshold = 0);
+                  unsigned storeThreshold = 0,
+                  PdsParams *params = nullptr);
 
 /** Injected-tape variant of preparePdsProgram. */
 compiler::CompiledProgram
 preparePdsProgram(const PdsSpec &spec, const std::vector<PdsOp> &ops,
                   PdsScheme s, PdsRunMode mode,
-                  unsigned storeThreshold = 0);
+                  unsigned storeThreshold = 0,
+                  PdsParams *params = nullptr);
 
 } // namespace pds
 } // namespace lwsp

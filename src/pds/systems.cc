@@ -94,8 +94,10 @@ namespace {
 
 compiler::CompiledProgram
 prepareBuilt(PdsProgram prog, PdsScheme s, PdsRunMode mode,
-             unsigned storeThreshold)
+             unsigned storeThreshold, PdsParams *params)
 {
+    if (params)
+        *params = prog.params;
     if (!pdsUsesCompiledBinary(s, mode))
         return compiler::makeUncompiled(std::move(prog.module));
 
@@ -112,18 +114,19 @@ prepareBuilt(PdsProgram prog, PdsScheme s, PdsRunMode mode,
 
 compiler::CompiledProgram
 preparePdsProgram(const PdsSpec &spec, PdsScheme s, PdsRunMode mode,
-                  unsigned storeThreshold)
+                  unsigned storeThreshold, PdsParams *params)
 {
     return prepareBuilt(buildPdsProgram(spec, s == PdsScheme::Pmtx), s,
-                        mode, storeThreshold);
+                        mode, storeThreshold, params);
 }
 
 compiler::CompiledProgram
 preparePdsProgram(const PdsSpec &spec, const std::vector<PdsOp> &ops,
-                  PdsScheme s, PdsRunMode mode, unsigned storeThreshold)
+                  PdsScheme s, PdsRunMode mode, unsigned storeThreshold,
+                  PdsParams *params)
 {
     return prepareBuilt(buildPdsProgram(spec, s == PdsScheme::Pmtx, ops),
-                        s, mode, storeThreshold);
+                        s, mode, storeThreshold, params);
 }
 
 } // namespace pds

@@ -3,7 +3,8 @@
  * Fuzzer self-tests: spec-string round-trips, clean campaigns on both
  * program sources, and the fault-injection path — a deliberately broken
  * release ordering must be caught by an oracle, shrunk, and reproduced
- * exactly from the reported spec string.
+ * exactly from the reported spec string — plus planted pds bugs caught
+ * by the structure oracles.
  */
 
 #include <gtest/gtest.h>
@@ -81,6 +82,21 @@ TEST(FuzzSpec, RejectsMalformedSpecs)
     EXPECT_FALSE(
         CaseSpec::parse("lwsp-fuzz:v1:wl:seed=1:bogus=3", spec, err));
     EXPECT_FALSE(err.empty());
+
+    // Numbers are plain decimal that fit their field: no trailing text,
+    // sign or silent wrap onto another case.
+    for (const char *bad :
+         {"lwsp-fuzz:v1:wl:seed=5x", "lwsp-fuzz:v1:wl:seed=-1",
+          "lwsp-fuzz:v1:pds:seed=1:mcs=4294967298",
+          "lwsp-fuzz:v1:wl:seed=1:shrink=4294967296",
+          "lwsp-fuzz:v1:wl:seed=1:mode=single:crash=12x",
+          "lwsp-fuzz:v1:wl:seed=1:mode=dbl-rec:crash=1:crash2=",
+          "lwsp-fuzz:v1:wl:seed=1:mode=dbl-drain:crash=1:drain=-1"}) {
+        err.clear();
+        EXPECT_FALSE(CaseSpec::parse(bad, spec, err)) << bad;
+        EXPECT_NE(err.find("bad value in"), std::string::npos)
+            << bad << ": " << err;
+    }
 }
 
 TEST(FuzzSpec, RoundTripsMachineShapeTokens)
@@ -209,4 +225,31 @@ TEST(FuzzCampaign, DoubleRecoveryPastTheEndSurvivesOneFailure)
     EXPECT_TRUE(res.passed) << res.failure;
     EXPECT_EQ(res.recoveredExact + res.recoveredDegraded, 1u);
     EXPECT_EQ(res.failuresSurvived, 1u);
+}
+
+// Planted pds bugs fail a campaign through their own oracle: an
+// ordering bug (broken=1) through the crash-prefix check of a victim
+// image, a semantic bug (broken=2) through the golden run's structure
+// walk. Each reproducer replays to the same failure.
+TEST(FuzzCampaign, PlantedPdsBugsFailThroughTheirOracles)
+{
+    setLogQuiet(true);
+    const std::string base =
+        "lwsp-fuzz:v1:pds:seed=3:shrink=0:pds=hash,sz=0,ops=24,mix=0,"
+        "pseed=5,broken=";
+    const struct
+    {
+        const char *broken;
+        const char *oracle;
+    } planted[] = {{"1", "victim pds crash-prefix ["},
+                   {"2", "golden pds semantic check ["}};
+    for (const auto &p : planted) {
+        auto res = runCampaign(parseOk(base + p.broken));
+        ASSERT_FALSE(res.passed) << "broken=" << p.broken;
+        EXPECT_EQ(res.failure.rfind(p.oracle, 0), 0u) << res.failure;
+
+        auto rep = runCampaign(parseOk(res.reproducer.toString()));
+        EXPECT_FALSE(rep.passed) << res.reproducer.toString();
+        EXPECT_EQ(rep.failure.rfind(p.oracle, 0), 0u) << rep.failure;
+    }
 }

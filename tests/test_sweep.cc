@@ -15,8 +15,9 @@
  * outcome, SweepExecutor::slowdowns agrees with the scalar
  * slowdownVsBaseline path, and telemetry counts each simulation once.
  * And prepareRun as the one builder of every program source: pds/serve
- * spec strings get the pds layer's own config and binary, and anything
- * else is a clean error.
+ * spec strings get the pds layer's own config and binary, profiles keep
+ * their lock words, PreparedRun::diffAppState covers exactly the
+ * application state, and anything else is a clean error.
  */
 
 #include <gtest/gtest.h>
@@ -488,6 +489,10 @@ TEST(Sweep, PrepareRunBuildsPdsAndServeSources)
                 pds::preparePdsProgram(ps, kPdsSchemes[i], mode).stats,
                 "pds " + what);
             EXPECT_EQ(run.served, pds::PdsModel(ps).params().served);
+            bool pmtx = kPdsSchemes[i] == pds::PdsScheme::Pmtx;
+            EXPECT_EQ(run.footprint,
+                      pds::buildPdsProgram(ps, pmtx).params.footprintBytes)
+                << "pds " << what;
             EXPECT_FALSE(run.serve);
 
             spec.workload = wl.spec.toString();
@@ -581,4 +586,55 @@ TEST(Sweep, BadWorkloadIsACleanError)
     spec.workload = "no-such-app";
     spec.threads.reset();
     EXPECT_THROW(runner.run(spec), std::invalid_argument);
+}
+
+// A profile's PreparedRun keeps what crash checkers recover with: the
+// lock words recovery rebuilds ownership from and the per-thread
+// partition the golden diff covers.
+TEST(Sweep, PrepareRunKeepsProfileLockWords)
+{
+    harness::RunSpec spec;
+    spec.workload = "intruder";
+    auto run = harness::prepareRun(spec);
+    auto w = workloads::generateByName("intruder");
+    ASSERT_FALSE(w.lockAddrs.empty());
+    EXPECT_EQ(run.lockAddrs, w.lockAddrs);
+    EXPECT_EQ(run.threads, w.profile.threads);
+    EXPECT_EQ(run.footprint, w.profile.footprintBytes);
+}
+
+// diffAppState covers every thread's heap partition and the shared
+// page, and nothing past the last partition.
+TEST(Sweep, DiffAppStateCoversPartitionsAndSharedPage)
+{
+    harness::PreparedRun run;
+    run.threads = 2;
+    run.footprint = 4096;
+    const Addr heap = workloads::Workload::heapBase;
+    const Addr shared = workloads::Workload::sharedBase;
+    mem::MemImage golden;
+    golden.write(heap, 1);
+    golden.write(shared, 2);
+
+    mem::MemImage got = golden;
+    EXPECT_EQ(run.diffAppState(got, golden, "x"), "");
+
+    got.write(heap + 2 * 4096, 7);  // past the last partition
+    got.write(shared + 4096, 7);    // past the shared page
+    EXPECT_EQ(run.diffAppState(got, golden, "x"), "");
+
+    mem::MemImage lastThread = got;
+    lastThread.write(heap + 2 * 4096 - 8, 7);
+    std::ostringstream want;
+    want << "recovered: heap differs from golden at 0x" << std::hex
+         << heap + 2 * 4096 - 8 << " (1 words)";
+    EXPECT_EQ(run.diffAppState(lastThread, golden, "recovered"),
+              want.str());
+
+    mem::MemImage sharedPage = got;
+    sharedPage.write(shared + 4096 - 8, 7);
+    want.str("");
+    want << "victim: shared page differs from golden at 0x" << std::hex
+         << shared + 4096 - 8;
+    EXPECT_EQ(run.diffAppState(sharedPage, golden, "victim"), want.str());
 }
