@@ -27,7 +27,7 @@ namespace detail {
 void
 emitLog(const char *level, const std::string &msg)
 {
-    bool severe = (level[0] == 'p' || level[0] == 'f');
+    bool severe = level[0] == 'p';
     if (logQuiet.load(std::memory_order_relaxed) && !severe)
         return;
     std::lock_guard<std::mutex> lock(logMutex);

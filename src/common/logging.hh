@@ -5,7 +5,8 @@
  * panic()  — a simulator bug: something that must never happen regardless of
  *            user input. Aborts (throws PanicError so tests can catch it).
  * fatal()  — the user's fault (bad configuration, invalid arguments). Throws
- *            FatalError.
+ *            FatalError without printing: the front end that catches it
+ *            reports it once (an uncaught one still prints its message).
  * warn()   — suspicious but survivable condition.
  * inform() — plain status output.
  */
@@ -58,14 +59,12 @@ panic(Args &&...args)
     throw PanicError(msg);
 }
 
-/** Report an unrecoverable user error and abort via exception. */
+/** Abort via exception on an unrecoverable user error. */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    std::string msg = detail::formatMessage(std::forward<Args>(args)...);
-    detail::emitLog("fatal", msg);
-    throw FatalError(msg);
+    throw FatalError(detail::formatMessage(std::forward<Args>(args)...));
 }
 
 /** Report a survivable but suspicious condition. */
@@ -86,7 +85,7 @@ inform(Args &&...args)
                     detail::formatMessage(std::forward<Args>(args)...));
 }
 
-/** Silence or re-enable warn()/inform() output (panic/fatal always print). */
+/** Silence or re-enable warn()/inform() output (panic always prints). */
 void setLogQuiet(bool quiet);
 
 /** panic() unless @p cond holds. */

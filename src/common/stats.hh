@@ -106,10 +106,6 @@ class Distribution
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
     const std::vector<std::uint64_t> &buckets() const { return counts_; }
-    double bucketLow(std::size_t i) const
-    {
-        return lo_ + (hi_ - lo_) * static_cast<double>(i) / counts_.size();
-    }
 
     void
     reset()

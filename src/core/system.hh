@@ -248,9 +248,6 @@ class System : public cpu::MemPort
     /** True iff this system was built by recover()/recoverChecked(). */
     bool recovered() const { return recovered_; }
 
-    /** Boot classification (Recovered unless set by recoverChecked()). */
-    RecoveryOutcome bootOutcome() const { return bootOutcome_; }
-
     /** Power failures survived by the state this system resumed from. */
     unsigned failuresSurvived() const { return failuresSurvived_; }
 
@@ -274,25 +271,13 @@ class System : public cpu::MemPort
     bool persistsDrained(CoreId core_id) override;
 
     // ---- Introspection ----------------------------------------------------
-    cpu::Core &coreAt(CoreId i) { return *cores_.at(i); }
     mem::MemController &mcAt(McId i) { return *mcs_.at(i); }
-    cpu::ThreadContext &threadAt(ThreadId t) { return *threads_.at(t); }
-    unsigned numThreads() const
-    {
-        return static_cast<unsigned>(threads_.size());
-    }
     Tick now() const { return sim_.now(); }
     const SystemConfig &config() const { return cfg_; }
     noc::Noc &nocNet() { return noc_; }
 
     /** MC owning @p addr (cacheline interleaving). */
     McId mcForAddr(Addr addr) const;
-
-    /**
-     * Dump every component's statistics in gem5-style
-     * "component.stat value" lines (cores, caches, MCs, NoC).
-     */
-    void dumpStats(std::ostream &os) const;
 
     /**
      * Register every component's statistics (callback-backed) with

@@ -167,7 +167,6 @@ class Core : public Clocked
     bool febContainsLine(Addr line) const;
     bool febEmpty() const { return feb_.empty(); }
     RegionId febMinRegion() const;
-    std::size_t febSize() const { return feb_.size(); }
 
     // ---- Statistics -------------------------------------------------------
     /** Zero all counters (end-of-warmup reset). */

@@ -68,7 +68,6 @@ class RegionAllocator
 {
   public:
     RegionId alloc() { return next_++; }
-    RegionId peek() const { return next_; }
 
     /** Recovery: resume allocation above every previously seen ID. */
     void

@@ -183,7 +183,8 @@ CaseSpec::parse(const std::string &s, CaseSpec &out, std::string &err)
                 return false;
             }
         } else if (key == "fault") {
-            spec.fault = val != "0";
+            number_ok = val == "0" || val == "1";
+            spec.fault = val == "1";
         } else if (key == "faults") {
             std::string ferr;
             if (!fault::FaultConfig::parse(val, spec.faults, ferr)) {

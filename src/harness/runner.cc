@@ -126,9 +126,11 @@ prepareRun(const RunSpec &spec)
     std::string perr, serr;
     if (pds::PdsSpec::parse(spec.workload, ps, perr)) {
         run.pds = ps;
+        run.ops = pds::generateOps(ps);
     } else if (serve::ServeSpec::parse(spec.workload, ss, serr)) {
         run.serve = serve::buildWorkload(ss);
         run.pds = run.serve->pdsSpec;
+        run.ops = run.serve->ops;
     } else {
         throw std::invalid_argument(
             "workload '" + spec.workload +
@@ -144,19 +146,11 @@ prepareRun(const RunSpec &spec)
     if (scheme) {
         unsigned threshold = spec.storeThreshold.value_or(0);
         run.cfg = pds::makePdsConfig(*scheme, spec.mode);
-        run.prog = run.serve
-                       ? pds::preparePdsProgram(*run.pds, run.serve->ops,
-                                                *scheme, spec.mode,
-                                                threshold, &params)
-                       : pds::preparePdsProgram(*run.pds, *scheme,
-                                                spec.mode, threshold,
-                                                &params);
+        run.prog = pds::preparePdsProgram(*run.pds, run.ops, *scheme,
+                                          spec.mode, threshold, &params);
     } else if (spec.scheme == Scheme::Baseline) {
         run.cfg = pds::makePdsBaselineConfig();
-        auto built = run.serve
-                         ? pds::buildPdsProgram(*run.pds, false,
-                                                run.serve->ops)
-                         : pds::buildPdsProgram(*run.pds, false);
+        auto built = pds::buildPdsProgram(*run.pds, false, run.ops);
         params = built.params;
         run.prog = compiler::makeUncompiled(std::move(built.module));
     } else {
@@ -177,8 +171,7 @@ PreparedRun::checkSemantics(const mem::MemImage &img) const
 {
     if (!pds)
         return {};
-    return serve ? pds::checkSemantics(*pds, serve->ops, img)
-                 : pds::checkSemantics(*pds, img);
+    return pds::checkSemantics(*pds, ops, img);
 }
 
 std::string
@@ -186,8 +179,7 @@ PreparedRun::checkCrashPrefix(const mem::MemImage &img) const
 {
     if (!pds || !prog.stats.thresholdConverged)
         return {};
-    return serve ? pds::checkCrashPrefix(*pds, serve->ops, img)
-                 : pds::checkCrashPrefix(*pds, img);
+    return pds::checkCrashPrefix(*pds, ops, img);
 }
 
 std::string

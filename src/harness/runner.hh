@@ -117,7 +117,9 @@ struct PreparedRun
     std::size_t footprint = 0;    ///< per-thread heap partition bytes
 
     std::optional<pds::PdsSpec> pds;  ///< pds/serve: the structure
-    std::optional<serve::ServeWorkload> serve;  ///< serve: request tape
+    std::vector<pds::PdsOp> ops;  ///< pds/serve: the op tape it runs
+    /** serve: the request tape (requests, opEnd) lowered into ops. */
+    std::optional<serve::ServeWorkload> serve;
     Addr served = 0;  ///< pds/serve: the exec-level served-op counter
 
     /** pds::checkSemantics on a completed image ("" = pass; always ""

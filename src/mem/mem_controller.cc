@@ -451,7 +451,6 @@ MemController::crashStep(Tick now)
     // keeps iterating and completes once the stall budget is absorbed.
     if (stallIters_ > 0) {
         --stallIters_;
-        ++stallsAbsorbed_;
         return true;
     }
     bool progress = false;

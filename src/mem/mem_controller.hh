@@ -173,9 +173,6 @@ class MemController : public Clocked, public McEndpoint
      */
     void crashFinish(Tick now = 0);
 
-    /** True once crashFinish() has run (the drain is fully over). */
-    bool crashFinished() const { return crashFinished_; }
-
     // ---- Fault handling (crash-time ECC damage, §IV-F hardening) ---------
     /**
      * Smallest WPQ region with an ECC-damaged entry (bit flip / torn
@@ -213,7 +210,6 @@ class MemController : public Clocked, public McEndpoint
 
     RegionId corruptBarrier() const { return corruptBarrier_; }
     bool detectedUnrecoverable() const { return detectedUnrecoverable_; }
-    unsigned crashStallsAbsorbed() const { return stallsAbsorbed_; }
 
     /** Mutable WPQ access for the fault layer's crash-time damage. */
     Wpq &wpqMutable() { return wpq_; }
@@ -398,7 +394,6 @@ class MemController : public Clocked, public McEndpoint
     RegionId corruptBarrier_ = invalidRegion;
     bool detectedUnrecoverable_ = false;
     unsigned stallIters_ = 0;
-    unsigned stallsAbsorbed_ = 0;
     bool crashFinished_ = false;  ///< crashFinish() already ran
 
     FlushTraceHook traceHook_;

@@ -10,6 +10,7 @@
 #ifndef LWSP_MEM_MEM_IMAGE_HH
 #define LWSP_MEM_MEM_IMAGE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -62,65 +63,76 @@ class MemImage
     void poison(Addr addr) { poisoned_.insert(addr); }
 
     bool isPoisoned(Addr addr) const { return poisoned_.count(addr) != 0; }
-    std::size_t poisonedCount() const { return poisoned_.size(); }
-
-    /** Number of resident pages (for tests). */
-    std::size_t residentPages() const { return pages_.size(); }
 
     /** Deep copy (crash-recovery runs re-execute on a cloned PM image). */
     MemImage clone() const { return *this; }
 
     /**
-     * Compare against @p other over the union of touched pages.
-     * @return list of differing addresses (capped at @p max_diffs)
+     * Compare against @p other over every address.
+     * @return differing addresses in ascending order, the first
+     *         @p max_diffs of them
      */
     std::vector<Addr>
     diff(const MemImage &other, std::size_t max_diffs = 16) const
     {
-        std::vector<Addr> out;
-        auto scan = [&](const MemImage &a, const MemImage &b) {
-            for (const auto &[pageno, words] : a.pages_) {
-                for (Addr i = 0; i < pageWords; ++i) {
-                    Addr addr = (pageno << pageShift) | (i << 3);
-                    if (words[i] != b.read(addr)) {
-                        bool seen = false;
-                        for (Addr d : out)
-                            seen = seen || d == addr;
-                        if (!seen)
-                            out.push_back(addr);
-                        if (out.size() >= max_diffs)
-                            return;
-                    }
-                }
-            }
-        };
-        scan(*this, other);
-        if (out.size() < max_diffs)
-            scan(other, *this);
-        return out;
+        return diffInRange(other, 0, ~Addr(0), max_diffs);
     }
 
     /**
      * diff() restricted to [lo, hi): used to compare application data
      * while ignoring checkpoint storage and stacks, whose final contents
-     * may legitimately differ across thread interleavings.
+     * may legitimately differ across thread interleavings. Walks only
+     * the pages either image has touched inside the range, in address
+     * order, so the cap applies to in-range differences alone.
      */
     std::vector<Addr>
     diffInRange(const MemImage &other, Addr lo, Addr hi,
                 std::size_t max_diffs = 16) const
     {
         std::vector<Addr> out;
-        for (Addr addr : diff(other, 4096)) {
-            if (addr >= lo && addr < hi) {
-                out.push_back(addr);
+        if (lo >= hi)
+            return out;
+        const Addr first = lo >> pageShift, last = (hi - 1) >> pageShift;
+        std::vector<Addr> pagenos;
+        for (const MemImage *img : {this, &other}) {
+            for (const auto &kv : img->pages_) {
+                if (kv.first >= first && kv.first <= last)
+                    pagenos.push_back(kv.first);
+            }
+        }
+        std::sort(pagenos.begin(), pagenos.end());
+        pagenos.erase(std::unique(pagenos.begin(), pagenos.end()),
+                      pagenos.end());
+
+        for (Addr pageno : pagenos) {
+            const std::uint64_t *mine = pageData(pageno);
+            const std::uint64_t *theirs = other.pageData(pageno);
+            Addr base = pageno << pageShift;
+            Addr i = base < lo ? (lo - base + 7) >> 3 : 0;
+            Addr end = pageno == last ? ((hi - 1 - base) >> 3) + 1
+                                      : pageWords;
+            for (; i < end; ++i) {
+                std::uint64_t a = mine ? mine[i] : 0;
+                std::uint64_t b = theirs ? theirs[i] : 0;
+                if (a == b)
+                    continue;
+                out.push_back(base | (i << 3));
                 if (out.size() >= max_diffs)
-                    break;
+                    return out;
             }
         }
         return out;
     }
 
   private:
+    /** The words of page @p pageno, or nullptr if it is untouched. */
+    const std::uint64_t *
+    pageData(Addr pageno) const
+    {
+        auto it = pages_.find(pageno);
+        return it == pages_.end() ? nullptr : it->second.data();
+    }
+
     std::unordered_map<Addr, std::vector<std::uint64_t>> pages_;
     std::unordered_set<Addr> poisoned_;
 };

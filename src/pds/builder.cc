@@ -1,7 +1,7 @@
 /**
  * @file
  * LightIR emission for the persistent data structures. Every persistent
- * store here has a mirror line in model.cc's applyOp() — the two files
+ * store here has a mirror line in model.cc's apply() — the two files
  * encode the same store stream and must change together.
  *
  * The pmtx build wraps each instrumented store in the undo-log
@@ -803,18 +803,11 @@ buildFromModel(const PdsModel &model, bool pmtx)
 } // namespace
 
 PdsProgram
-buildPdsProgram(const PdsSpec &spec, bool pmtx)
-{
-    PdsModel model(spec);
-    return buildFromModel(model, pmtx);
-}
-
-PdsProgram
 buildPdsProgram(const PdsSpec &spec, bool pmtx,
                 const std::vector<PdsOp> &ops)
 {
-    PdsModel model(spec, ops);
-    return buildFromModel(model, pmtx);
+    LWSP_ASSERT(!ops.empty(), "pds program with an empty tape");
+    return buildFromModel(PdsModel(spec, ops), pmtx);
 }
 
 } // namespace pds

@@ -3,7 +3,7 @@
  * PdsSpec canonical form, geometry derivation, feasibility-aware tape
  * generation, and the shadow model + semantic / crash-prefix oracles.
  *
- * The shadow's applyOp() transliterates builder.cc store for store, in
+ * The shadow's apply() transliterates builder.cc store for store, in
  * program order — the two files must change together (test_pds pins the
  * equivalence on clean runs; the fuzz campaign pins it across crash
  * cuts via checkCrashPrefix).
@@ -109,25 +109,28 @@ PdsSpec::parse(const std::string &text, PdsSpec &out, std::string &err)
             return false;
         }
         std::string key = tok.substr(0, eq);
-        std::uint64_t val = 0;
-        if (!parseDecimal(std::string_view(tok).substr(eq + 1), val)) {
-            err = "malformed pds value '" + tok + "'";
-            return false;
-        }
+        std::string_view val = std::string_view(tok).substr(eq + 1);
+        // Each value must fit its own field: a wider number is an
+        // error, never a silent truncation onto another spec.
+        bool ok = false;
         if (key == "sz") {
-            spec.sizeClass = static_cast<unsigned>(val);
+            ok = parseDecimal(val, spec.sizeClass);
         } else if (key == "ops") {
-            spec.numOps = static_cast<unsigned>(val);
+            ok = parseDecimal(val, spec.numOps);
         } else if (key == "mix") {
-            spec.mix = static_cast<unsigned>(val);
+            ok = parseDecimal(val, spec.mix);
         } else if (key == "pseed") {
-            spec.seed = val;
+            ok = parseDecimal(val, spec.seed);
         } else if (key == "tx") {
-            spec.opsPerTx = static_cast<unsigned>(val);
+            ok = parseDecimal(val, spec.opsPerTx);
         } else if (key == "broken") {
-            spec.broken = static_cast<unsigned>(val);
+            ok = parseDecimal(val, spec.broken);
         } else {
             err = "unknown pds key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            err = "malformed pds value '" + tok + "'";
             return false;
         }
     }
@@ -265,28 +268,169 @@ pdsGeometry(const PdsSpec &spec)
 // ---------------------------------------------------------------------------
 // PdsModel.
 
-PdsModel::PdsModel(const PdsSpec &spec) : spec_(spec)
+namespace {
+
+/** Whether a log append fits: the next segment, if the current one is
+ *  full, must keep fewer live entries than it has slots. */
+bool
+logCanAppend(const PdsModel &m)
 {
-    initStructure();
-    generateTape();
-    finishInit();
+    const PdsParams &p = m.params();
+    if (m.read(logCurOff(p)) < p.slotsPerSeg)
+        return true;
+    std::uint64_t seg = m.read(logCurSeg(p));
+    seg = seg + 1 == p.segs ? 0 : seg + 1;
+    std::uint64_t u = m.read(logSegUsed(p, unsigned(seg)));
+    std::uint64_t trim = m.read(logTrimId(p));
+    std::uint64_t kept = 0;
+    for (std::uint64_t j = 0; j < u; ++j) {
+        if ((m.read(logSegEntry(p, unsigned(seg), unsigned(j))) >> 32) >=
+            trim)
+            ++kept;
+    }
+    return kept < p.slotsPerSeg;
+}
+
+/**
+ * Assert that @p rec is feasible at @p m's replay position: the emitted
+ * IR has no precondition checks, so an infeasible op writes outside the
+ * structure.
+ */
+void
+assertFeasible(const PdsModel &m, const PdsOp &rec)
+{
+    const PdsParams &p = m.params();
+    LWSP_ASSERT(rec.a <= 0xffffffull,
+                "pds op arg exceeds the 24-bit tape field");
+    switch (m.spec().kind) {
+      case Kind::Log:
+        LWSP_ASSERT(rec.op <= opLogTrim, "bad pds log op");
+        LWSP_ASSERT(rec.op != opLogAppend || logCanAppend(m),
+                    "pds log append into a full log");
+        break;
+      case Kind::Hash:
+        LWSP_ASSERT(rec.op <= opHashResize, "bad pds hash op");
+        if (rec.op == opHashInsert) {
+            LWSP_ASSERT(rec.a != 0, "pds hash insert of key 0");
+            LWSP_ASSERT(!m.liveHash().count(rec.a),
+                        "pds hash insert of a live key ", rec.a);
+            LWSP_ASSERT(m.liveHash().size() < p.pool,
+                        "pds hash insert with node pool full");
+        }
+        break;
+      case Kind::Alloc:
+        LWSP_ASSERT(rec.op <= opAllocFree, "bad pds alloc op");
+        LWSP_ASSERT(rec.a < p.handles, "pds alloc handle out of range");
+        if (rec.op == opAllocAlloc) {
+            LWSP_ASSERT(m.read(allocFreeHead(p)) != 0 &&
+                            !m.liveAlloc().count(rec.a),
+                        "pds alloc with no free block or live handle ",
+                        rec.a);
+        } else {
+            LWSP_ASSERT(m.liveAlloc().count(rec.a),
+                        "pds free of unallocated handle ", rec.a);
+        }
+        break;
+    }
+}
+
+/**
+ * Draw the next op from the mix preset against @p m's live state,
+ * overriding infeasible choices (full log, exhausted pool, empty free
+ * list...) with a feasible one.
+ */
+PdsOp
+drawOp(const PdsModel &m, Rng &rng)
+{
+    const PdsParams &p = m.params();
+    const unsigned mix = m.spec().mix;
+    switch (m.spec().kind) {
+      case Kind::Log: {
+        static constexpr unsigned appendPct[3] = {85, 70, 95};
+        bool wantAppend = rng.below(100) < appendPct[mix];
+        if (wantAppend && logCanAppend(m))
+            return {opLogAppend, 0, rng.next() & 0xffffffffull};
+        std::uint64_t live = m.read(logNextId(p)) - m.read(logTrimId(p));
+        std::uint64_t n =
+            wantAppend ? std::max<std::uint64_t>(1, (live + 3) / 4)
+                       : rng.range(1, p.slotsPerSeg);
+        return {opLogTrim, n, 0};
+      }
+      case Kind::Hash: {
+        // ins / del / lookup / resize percent per mix.
+        static constexpr unsigned cut[3][3] = {
+            {40, 65, 98}, {20, 30, 98}, {45, 90, 99}};
+        const auto &live = m.liveHash();
+        unsigned roll = unsigned(rng.below(100));
+        unsigned want = roll < cut[mix][0]   ? opHashInsert
+                        : roll < cut[mix][1] ? opHashDelete
+                        : roll < cut[mix][2] ? opHashLookup
+                                             : opHashResize;
+        std::uint64_t universe = 2 * std::uint64_t(p.pool);
+        if (want == opHashInsert && live.size() >= p.pool)
+            want = live.empty() ? opHashResize : opHashLookup;
+        if ((want == opHashDelete || want == opHashLookup) && live.empty())
+            want = opHashInsert;
+        if (want == opHashInsert) {
+            std::uint64_t k = 0;
+            do {
+                k = 1 + rng.below(universe);
+            } while (live.count(k));
+            return {opHashInsert, k, rng.next() & 0xffffffffull};
+        }
+        if (want == opHashDelete || want == opHashLookup) {
+            auto it = live.begin();
+            std::advance(it, long(rng.below(live.size())));
+            return {want, it->first, 0};
+        }
+        return {opHashResize, 0, 0};
+      }
+      case Kind::Alloc: {
+        static constexpr unsigned allocPct[3] = {55, 70, 50};
+        const auto &live = m.liveAlloc();
+        bool wantAlloc = rng.below(100) < allocPct[mix];
+        bool canAlloc =
+            m.read(allocFreeHead(p)) != 0 && live.size() < p.handles;
+        bool canFree = !live.empty();
+        unsigned op = wantAlloc ? (canAlloc ? opAllocAlloc : opAllocFree)
+                                : (canFree ? opAllocFree : opAllocAlloc);
+        if (op == opAllocAlloc) {
+            std::uint64_t h = 0;
+            do {
+                h = rng.below(p.handles);
+            } while (live.count(h));
+            return {opAllocAlloc, h, rng.next() & 0xffffffffull};
+        }
+        auto it = live.begin();
+        std::advance(it, long(rng.below(live.size())));
+        return {opAllocFree, it->first, 0};
+      }
+    }
+    return {};
+}
+
+} // namespace
+
+std::vector<PdsOp>
+generateOps(const PdsSpec &spec)
+{
+    // An empty-tape shadow, run forward as the ops are drawn.
+    PdsModel shadow(spec, {});
+    Rng rng(spec.seed ^ 0x7064732d74617065ull);  // "pds-tape"
+    std::vector<PdsOp> ops;
+    ops.reserve(spec.numOps);
+    for (unsigned i = 0; i < spec.numOps; ++i) {
+        ops.push_back(drawOp(shadow, rng));
+        shadow.apply(ops.back());
+    }
+    return ops;
 }
 
 PdsModel::PdsModel(const PdsSpec &spec, const std::vector<PdsOp> &ops)
-    : spec_(spec)
+    : spec_(spec), ops_(ops)
 {
-    LWSP_ASSERT(!ops.empty() && ops.size() <= 100000,
-                "injected pds tape size out of range");
+    LWSP_ASSERT(ops.size() <= 100000, "pds tape size out of range");
     spec_.numOps = static_cast<unsigned>(ops.size());
-    initStructure();
-    ops_ = ops;
-    replayInjected();
-    finishInit();
-}
-
-void
-PdsModel::initStructure()
-{
     params_ = deriveBaseParams(spec_);
 
     // Nonzero initial data only (absent words read as zero).
@@ -303,104 +447,36 @@ PdsModel::initStructure()
             init_[allocBlock(params_, i)] = i + 2;
         break;
     }
-}
 
-void
-PdsModel::finishInit()
-{
+    // Replay the tape once: assert each op's feasibility, and size the
+    // pmtx undo area by the most instrumented stores in any opsPerTx
+    // window.
+    unsigned maxTxStores = 0, txStores = 0;
     for (unsigned i = 0; i < spec_.numOps; ++i) {
-        tape_.push_back(ops_[i].op | (ops_[i].a << 8));
-        tape_.push_back(ops_[i].v);
-    }
-    for (unsigned i = 0; i < tape_.size(); ++i) {
-        if (tape_[i])
-            init_[params_.tapeBase + Addr(i) * 8] = tape_[i];
+        assertFeasible(*this, ops_[i]);
+        apply(ops_[i]);
+        txStores += lastInstrumented_;
+        if ((i + 1) % spec_.opsPerTx == 0 || i + 1 == spec_.numOps) {
+            maxTxStores = std::max(maxTxStores, txStores);
+            txStores = 0;
+        }
     }
 
-    params_.undoCap = maxTxStores_ + 4;
+    // The tape itself, 2 words per op: op | a<<8, value.
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+        Addr at = params_.tapeBase + Addr(i) * 16;
+        if (std::uint64_t word = ops_[i].op | (ops_[i].a << 8))
+            init_[at] = word;
+        if (ops_[i].v)
+            init_[at + 8] = ops_[i].v;
+    }
+
+    params_.undoCap = maxTxStores + 4;
     std::size_t end =
         params_.undoBase + std::size_t(params_.undoCap) * 16 - params_.base;
     params_.footprintBytes = (end + 63) & ~std::size_t(63);
 
     reset();
-}
-
-/**
- * Replay an injected tape forward (mirrors generateTape's replay loop):
- * asserts each op's feasibility invariant — the emitted IR has no
- * precondition checks, so an infeasible op writes outside the structure
- * — and accumulates maxTxStores_ for the pmtx undo-area sizing.
- */
-void
-PdsModel::replayInjected()
-{
-    const PdsParams &p = params_;
-    unsigned txStores = 0;
-    for (unsigned i = 0; i < spec_.numOps; ++i) {
-        const OpRec &rec = ops_[i];
-        LWSP_ASSERT(rec.a <= 0xffffffull,
-                    "injected pds op arg exceeds the 24-bit tape field");
-        switch (spec_.kind) {
-          case Kind::Log:
-            LWSP_ASSERT(rec.op <= opLogTrim, "bad injected log op");
-            if (rec.op == opLogAppend) {
-                std::uint64_t off = read(logCurOff(p));
-                if (off >= p.slotsPerSeg) {
-                    std::uint64_t seg = read(logCurSeg(p));
-                    seg = seg + 1 == p.segs ? 0 : seg + 1;
-                    std::uint64_t u = read(logSegUsed(p, unsigned(seg)));
-                    std::uint64_t trim = read(logTrimId(p));
-                    std::uint64_t kept = 0;
-                    for (std::uint64_t j = 0; j < u; ++j) {
-                        if ((read(logSegEntry(p, unsigned(seg),
-                                              unsigned(j))) >>
-                             32) >= trim)
-                            ++kept;
-                    }
-                    LWSP_ASSERT(kept < p.slotsPerSeg,
-                                "injected log append into a full log");
-                }
-            }
-            break;
-          case Kind::Hash:
-            LWSP_ASSERT(rec.op <= opHashResize, "bad injected hash op");
-            if (rec.op == opHashInsert) {
-                LWSP_ASSERT(rec.a != 0, "injected hash insert of key 0");
-                LWSP_ASSERT(!hashLive_.count(rec.a),
-                            "injected hash insert of a live key ", rec.a);
-                LWSP_ASSERT(hashLive_.size() < p.pool,
-                            "injected hash insert with node pool full");
-            }
-            break;
-          case Kind::Alloc:
-            LWSP_ASSERT(rec.op <= opAllocFree, "bad injected alloc op");
-            LWSP_ASSERT(rec.a < p.handles,
-                        "injected alloc handle out of range");
-            if (rec.op == opAllocAlloc) {
-                LWSP_ASSERT(read(allocFreeHead(p)) != 0 &&
-                                !allocLive_.count(rec.a),
-                            "injected alloc with no free block or live "
-                            "handle ", rec.a);
-            } else {
-                LWSP_ASSERT(allocLive_.count(rec.a),
-                            "injected free of unallocated handle ", rec.a);
-            }
-            break;
-        }
-
-        lastWrites_.clear();
-        lastInstrumented_ = 0;
-        applyOp(rec);
-        ++applied_;
-        w(p.opsDone, applied_);
-        w(p.served, read(p.served) + 1, false);
-
-        txStores += lastInstrumented_;
-        if ((i + 1) % spec_.opsPerTx == 0 || i + 1 == spec_.numOps) {
-            maxTxStores_ = std::max(maxTxStores_, txStores);
-            txStores = 0;
-        }
-    }
 }
 
 std::vector<std::pair<Addr, std::uint64_t>>
@@ -445,14 +521,7 @@ const std::vector<PdsWrite> &
 PdsModel::step()
 {
     LWSP_ASSERT(applied_ < spec_.numOps, "PdsModel::step past tape end");
-    lastWrites_.clear();
-    lastInstrumented_ = 0;
-    applyOp(ops_[applied_]);
-    ++applied_;
-    // The driver epilogue: opsDone (instrumented), then the exec-level
-    // served counter (plain store, not undo-logged).
-    w(params_.opsDone, applied_);
-    w(params_.served, read(params_.served) + 1, /*instrumented=*/false);
+    apply(ops_[applied_]);
     return lastWrites_;
 }
 
@@ -468,12 +537,15 @@ PdsModel::liveLog() const
 }
 
 /**
- * Apply one op, recording stores in the exact order builder.cc emits
- * them. Comments name the builder blocks each group corresponds to.
+ * Apply one op, recording its stores (lastWrites_) in the exact order
+ * builder.cc emits them — the op body, then the driver epilogue.
+ * Comments name the builder blocks each group corresponds to.
  */
 void
-PdsModel::applyOp(const OpRec &rec)
+PdsModel::apply(const PdsOp &rec)
 {
+    lastWrites_.clear();
+    lastInstrumented_ = 0;
     const PdsParams &p = params_;
     switch (spec_.kind) {
       case Kind::Log:
@@ -609,122 +681,12 @@ PdsModel::applyOp(const OpRec &rec)
         }
         break;
     }
-}
 
-/**
- * Tape generation: draw op types from the mix preset, overriding
- * infeasible choices (full log, exhausted pool, empty free list...)
- * with a feasible one so the emitted IR needs no precondition checks.
- * Runs the shadow forward as it draws, then reset() rewinds.
- */
-void
-PdsModel::generateTape()
-{
-    Rng rng(spec_.seed ^ 0x7064732d74617065ull);  // "pds-tape"
-    const PdsParams &p = params_;
-
-    unsigned txStores = 0;
-    for (unsigned i = 0; i < spec_.numOps; ++i) {
-        OpRec rec{0, 0, 0};
-        switch (spec_.kind) {
-          case Kind::Log: {
-            static constexpr unsigned appendPct[3] = {85, 70, 95};
-            bool wantAppend = rng.below(100) < appendPct[spec_.mix];
-            bool canAppend = true;
-            std::uint64_t off = read(logCurOff(p));
-            if (off >= p.slotsPerSeg) {
-                std::uint64_t seg = read(logCurSeg(p));
-                seg = seg + 1 == p.segs ? 0 : seg + 1;
-                std::uint64_t u = read(logSegUsed(p, unsigned(seg)));
-                std::uint64_t trim = read(logTrimId(p));
-                std::uint64_t kept = 0;
-                for (std::uint64_t j = 0; j < u; ++j) {
-                    if ((read(logSegEntry(p, unsigned(seg), unsigned(j))) >>
-                         32) >= trim)
-                        ++kept;
-                }
-                canAppend = kept < p.slotsPerSeg;
-            }
-            if (wantAppend && canAppend) {
-                rec = {opLogAppend, 0, rng.next() & 0xffffffffull};
-            } else {
-                std::uint64_t live =
-                    read(logNextId(p)) - read(logTrimId(p));
-                std::uint64_t n = wantAppend
-                                      ? std::max<std::uint64_t>(
-                                            1, (live + 3) / 4)
-                                      : rng.range(1, p.slotsPerSeg);
-                rec = {opLogTrim, n, 0};
-            }
-            break;
-          }
-          case Kind::Hash: {
-            // ins / del / lookup / resize percent per mix.
-            static constexpr unsigned cut[3][3] = {
-                {40, 65, 98}, {20, 30, 98}, {45, 90, 99}};
-            unsigned roll = unsigned(rng.below(100));
-            unsigned want = roll < cut[spec_.mix][0]      ? opHashInsert
-                            : roll < cut[spec_.mix][1]    ? opHashDelete
-                            : roll < cut[spec_.mix][2]    ? opHashLookup
-                                                          : opHashResize;
-            std::uint64_t universe = 2 * std::uint64_t(p.pool);
-            if (want == opHashInsert && hashLive_.size() >= p.pool)
-                want = hashLive_.empty() ? opHashResize : opHashLookup;
-            if ((want == opHashDelete || want == opHashLookup) &&
-                hashLive_.empty())
-                want = opHashInsert;
-            if (want == opHashInsert) {
-                std::uint64_t k = 0;
-                do {
-                    k = 1 + rng.below(universe);
-                } while (hashLive_.count(k));
-                rec = {opHashInsert, k, rng.next() & 0xffffffffull};
-            } else if (want == opHashDelete || want == opHashLookup) {
-                auto it = hashLive_.begin();
-                std::advance(it, long(rng.below(hashLive_.size())));
-                rec = {want, it->first, 0};
-            } else {
-                rec = {opHashResize, 0, 0};
-            }
-            break;
-          }
-          case Kind::Alloc: {
-            static constexpr unsigned allocPct[3] = {55, 70, 50};
-            bool wantAlloc = rng.below(100) < allocPct[spec_.mix];
-            bool canAlloc = read(allocFreeHead(p)) != 0 &&
-                            allocLive_.size() < p.handles;
-            bool canFree = !allocLive_.empty();
-            unsigned op = wantAlloc ? (canAlloc ? opAllocAlloc : opAllocFree)
-                                    : (canFree ? opAllocFree : opAllocAlloc);
-            if (op == opAllocAlloc) {
-                std::uint64_t h = 0;
-                do {
-                    h = rng.below(p.handles);
-                } while (allocLive_.count(h));
-                rec = {opAllocAlloc, h, rng.next() & 0xffffffffull};
-            } else {
-                auto it = allocLive_.begin();
-                std::advance(it, long(rng.below(allocLive_.size())));
-                rec = {opAllocFree, it->first, 0};
-            }
-            break;
-          }
-        }
-        ops_.push_back(rec);
-
-        lastWrites_.clear();
-        lastInstrumented_ = 0;
-        applyOp(rec);
-        ++applied_;
-        w(p.opsDone, applied_);
-        w(p.served, read(p.served) + 1, false);
-
-        txStores += lastInstrumented_;
-        if ((i + 1) % spec_.opsPerTx == 0 || i + 1 == spec_.numOps) {
-            maxTxStores_ = std::max(maxTxStores_, txStores);
-            txStores = 0;
-        }
-    }
+    // The driver epilogue: opsDone (instrumented), then the exec-level
+    // served counter (plain store, not undo-logged).
+    ++applied_;
+    w(p.opsDone, applied_);
+    w(p.served, read(p.served) + 1, /*instrumented=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -741,11 +703,11 @@ failMsg(const PdsSpec &spec, const std::string &what)
 
 } // namespace
 
-namespace {
-
 std::string
-checkSemanticsModel(PdsModel &model, const mem::MemImage &img)
+checkSemantics(const PdsSpec &specIn, const std::vector<PdsOp> &ops,
+               const mem::MemImage &img)
 {
+    PdsModel model(specIn, ops);
     const PdsSpec &spec = model.spec();
     while (model.opsApplied() < model.numOps())
         model.step();
@@ -917,31 +879,14 @@ checkSemanticsModel(PdsModel &model, const mem::MemImage &img)
     return "";
 }
 
-} // namespace
-
-std::string
-checkSemantics(const PdsSpec &spec, const mem::MemImage &img)
-{
-    PdsModel model(spec);
-    return checkSemanticsModel(model, img);
-}
-
-std::string
-checkSemantics(const PdsSpec &spec, const std::vector<PdsOp> &ops,
-               const mem::MemImage &img)
-{
-    PdsModel model(spec, ops);
-    return checkSemanticsModel(model, img);
-}
-
 // ---------------------------------------------------------------------------
 // Crash-prefix oracle.
 
-namespace {
-
 std::string
-checkCrashPrefixModel(PdsModel &model, const mem::MemImage &img)
+checkCrashPrefix(const PdsSpec &specIn, const std::vector<PdsOp> &ops,
+                 const mem::MemImage &img)
 {
+    PdsModel model(specIn, ops);
     const PdsSpec &spec = model.spec();
     const PdsParams &p = model.params();
     std::size_t words = p.footprintBytes / 8;
@@ -988,23 +933,6 @@ checkCrashPrefixModel(PdsModel &model, const mem::MemImage &img)
     os << "pds crash-prefix [" << spec.toString() << "]: PM image is not "
        << "initial+prefix of the store stream at opsDone=" << done;
     return os.str();
-}
-
-} // namespace
-
-std::string
-checkCrashPrefix(const PdsSpec &spec, const mem::MemImage &img)
-{
-    PdsModel model(spec);
-    return checkCrashPrefixModel(model, img);
-}
-
-std::string
-checkCrashPrefix(const PdsSpec &spec, const std::vector<PdsOp> &ops,
-                 const mem::MemImage &img)
-{
-    PdsModel model(spec, ops);
-    return checkCrashPrefixModel(model, img);
 }
 
 } // namespace pds

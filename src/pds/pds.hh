@@ -111,20 +111,19 @@ struct PdsWrite
 };
 
 /**
- * One tape operation. Normally drawn by PdsModel's seeded
- * feasibility-aware generator; callers (the serve subsystem's request
- * compiler) may instead inject an externally lowered tape. Meanings of
- * (op, a, v) per Kind match the builder's dispatch table:
+ * One tape operation: drawn by generateOps() or lowered by the serve
+ * subsystem's request compiler. Meanings of (op, a, v) per Kind match
+ * the builder's dispatch table:
  *   Log:   0 append(value=v)  1 trim(count=a)
  *   Hash:  0 insert(key=a, value=v)  1 delete(key=a)  2 lookup(key=a)
  *          3 resize
  *   Alloc: 0 alloc(handle=a, payload=v)  1 free(handle=a)
  * `a` must fit in 24 bits — the tape word packs op | a<<8 and the
- * driver decodes a with a 0xffffff mask. Injected tapes must satisfy
- * the same feasibility invariants the generator maintains (e.g. hash
- * insert only of a non-live key with pool room); the injected-tape
- * constructor replays and asserts them, because the emitted IR carries
- * no precondition checks and an infeasible op corrupts memory silently.
+ * driver decodes a with a 0xffffff mask. Every tape must satisfy the
+ * feasibility invariants generateOps() maintains (e.g. hash insert only
+ * of a non-live key with pool room); PdsModel's constructor replays and
+ * asserts them, because the emitted IR carries no precondition checks
+ * and an infeasible op corrupts memory silently.
  */
 struct PdsOp
 {
@@ -133,7 +132,7 @@ struct PdsOp
     std::uint64_t v = 0;
 };
 
-/** Public tape op codes for injected-tape producers (PdsOp::op). */
+/** Public tape op codes for tape producers (PdsOp::op). */
 constexpr unsigned pdsLogAppend = 0, pdsLogTrim = 1;
 constexpr unsigned pdsHashInsert = 0, pdsHashDelete = 1,
                    pdsHashLookup = 2, pdsHashResize = 3;
@@ -147,30 +146,33 @@ constexpr unsigned pdsAllocAlloc = 0, pdsAllocFree = 1;
 PdsParams pdsGeometry(const PdsSpec &spec);
 
 /**
- * The shadow model: generates the op tape (feasibility-aware, seeded)
- * and replays it store-for-store in the exact order the emitted IR
- * performs them, tracking both the concrete word state and the abstract
- * live contents the semantic oracles compare against.
+ * The seeded, feasibility-aware tape for @p spec: spec.numOps ops drawn
+ * from the mix preset against the live shadow state, infeasible draws
+ * (full log, exhausted pool, empty free list...) overridden with a
+ * feasible op.
+ */
+std::vector<PdsOp> generateOps(const PdsSpec &spec);
+
+/**
+ * The shadow model of one (spec, tape) program: replays the tape
+ * store-for-store in the exact order the emitted IR performs them,
+ * tracking both the concrete word state and the abstract live contents
+ * the semantic oracles compare against.
  */
 class PdsModel
 {
   public:
-    explicit PdsModel(const PdsSpec &spec);
-
     /**
-     * Injected-tape variant: run @p ops instead of generating a tape.
-     * spec.numOps is overridden to ops.size(); all other spec fields
-     * (kind, sizeClass, opsPerTx, seed for toString) apply unchanged.
-     * Feasibility of every op is asserted during the setup replay.
+     * Run @p ops (generateOps(spec) or a lowered tape). spec.numOps is
+     * overridden to ops.size(); all other spec fields (kind, sizeClass,
+     * opsPerTx, seed for toString) apply unchanged. Feasibility of every
+     * op is asserted during the setup replay.
      */
     PdsModel(const PdsSpec &spec, const std::vector<PdsOp> &ops);
 
     const PdsSpec &spec() const { return spec_; }
     const PdsParams &params() const { return params_; }
     unsigned numOps() const { return spec_.numOps; }
-
-    /** Tape words (2 per op), also emitted as module initial data. */
-    const std::vector<std::uint64_t> &tape() const { return tape_; }
 
     /** Nonzero initial memory contents (structure init + tape). */
     std::vector<std::pair<Addr, std::uint64_t>> initialData() const;
@@ -205,32 +207,21 @@ class PdsModel
         return allocLive_;
     }
 
-    /** Max instrumented stores in any opsPerTx window (sizes the undo
-     *  area; computed during tape generation). */
-    unsigned maxTxStores() const { return maxTxStores_; }
-
   private:
-    using OpRec = PdsOp;
+    friend std::vector<PdsOp> generateOps(const PdsSpec &spec);
 
-    void initStructure();
-    void finishInit();
-    void generateTape();
-    void replayInjected();
-    void applyOp(const OpRec &rec);
+    void apply(const PdsOp &rec);
     void w(Addr a, std::uint64_t v, bool instrumented = true);
-    std::uint64_t rd(Addr a) const { return read(a); }
 
     PdsSpec spec_;
     PdsParams params_;
-    std::vector<std::uint64_t> tape_;
-    std::vector<OpRec> ops_;
+    std::vector<PdsOp> ops_;
 
     std::map<Addr, std::uint64_t> init_;
     std::map<Addr, std::uint64_t> state_;
     unsigned applied_ = 0;
     std::vector<PdsWrite> lastWrites_;
     unsigned lastInstrumented_ = 0;
-    unsigned maxTxStores_ = 0;
 
     // Abstract state (kept in lockstep with the concrete replay).
     std::map<std::uint64_t, std::uint64_t> logAll_;  ///< id -> value
@@ -247,42 +238,36 @@ struct PdsProgram
 };
 
 /**
- * Emit the LightIR program for @p spec. With @p pmtx, every persistent
- * store is wrapped in the undo-log expansion, transactions of
- * spec.opsPerTx ops commit with a fence/clear/fence sequence, and the
- * driver entry carries the rollback-and-resume recovery preamble.
+ * Emit the LightIR program running @p ops on @p spec's structure
+ * (spec.numOps is overridden to ops.size()). With @p pmtx, every
+ * persistent store is wrapped in the undo-log expansion, transactions
+ * of spec.opsPerTx ops commit with a fence/clear/fence sequence, and
+ * the driver entry carries the rollback-and-resume recovery preamble.
  */
-PdsProgram buildPdsProgram(const PdsSpec &spec, bool pmtx);
-
-/** Injected-tape variant (spec.numOps is overridden to ops.size()). */
 PdsProgram buildPdsProgram(const PdsSpec &spec, bool pmtx,
                            const std::vector<PdsOp> &ops);
 
 /**
- * Structure-walk semantic oracle against a *completed* image (clean
- * final state, or recovered-and-finished state): log live multiset,
- * hash key/value integrity + bucket placement + node accounting,
- * allocator no-leak/no-double-free + payload integrity.
+ * Structure-walk semantic oracle for the (@p spec, @p ops) program
+ * against a *completed* image (clean final state, or
+ * recovered-and-finished state): log live multiset, hash key/value
+ * integrity + bucket placement + node accounting, allocator
+ * no-leak/no-double-free + payload integrity.
  * @return "" on success, else a failure description.
  */
-std::string checkSemantics(const PdsSpec &spec, const mem::MemImage &img);
-
-/** Injected-tape variant of checkSemantics. */
 std::string checkSemantics(const PdsSpec &spec,
                            const std::vector<PdsOp> &ops,
                            const mem::MemImage &img);
 
 /**
- * Crash-image prefix-durability oracle (gated LightWSP images from
- * plain builds only): the image must equal initial-data + the recorded
- * store stream of the first C complete ops (C = the image's own opsDone
- * counter) + some prefix of op C's stores. Sound because the gated WPQ
- * commits whole regions in order, so PM is always a program-order
- * prefix of the store stream. @return "" on success.
+ * Crash-image prefix-durability oracle for the (@p spec, @p ops)
+ * program (gated LightWSP images from plain builds only): the image
+ * must equal initial-data + the recorded store stream of the first C
+ * complete ops (C = the image's own opsDone counter) + some prefix of
+ * op C's stores. Sound because the gated WPQ commits whole regions in
+ * order, so PM is always a program-order prefix of the store stream.
+ * @return "" on success.
  */
-std::string checkCrashPrefix(const PdsSpec &spec, const mem::MemImage &img);
-
-/** Injected-tape variant of checkCrashPrefix. */
 std::string checkCrashPrefix(const PdsSpec &spec,
                              const std::vector<PdsOp> &ops,
                              const mem::MemImage &img);
@@ -312,18 +297,13 @@ core::SystemConfig makePdsConfig(PdsScheme s, PdsRunMode mode);
 core::SystemConfig makePdsBaselineConfig();
 
 /**
- * Build + prepare the binary for @p s in @p mode. storeThreshold feeds
- * the compiler for compiled schemes (0 = compiler default); for Pmtx
- * the program is the undo-log build run uncompiled (its fences are the
- * persistence points). @p params (if given) receives the built
- * program's geometry, tape-dependent footprint included.
+ * Build + prepare the (@p spec, @p ops) binary for @p s in @p mode.
+ * storeThreshold feeds the compiler for compiled schemes (0 = compiler
+ * default); for Pmtx the program is the undo-log build run uncompiled
+ * (its fences are the persistence points). @p params (if given)
+ * receives the built program's geometry, tape-dependent footprint
+ * included.
  */
-compiler::CompiledProgram
-preparePdsProgram(const PdsSpec &spec, PdsScheme s, PdsRunMode mode,
-                  unsigned storeThreshold = 0,
-                  PdsParams *params = nullptr);
-
-/** Injected-tape variant of preparePdsProgram. */
 compiler::CompiledProgram
 preparePdsProgram(const PdsSpec &spec, const std::vector<PdsOp> &ops,
                   PdsScheme s, PdsRunMode mode,

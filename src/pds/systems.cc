@@ -90,12 +90,12 @@ pdsUsesCompiledBinary(PdsScheme s, PdsRunMode mode)
            s == PdsScheme::Cwsp;
 }
 
-namespace {
-
 compiler::CompiledProgram
-prepareBuilt(PdsProgram prog, PdsScheme s, PdsRunMode mode,
-             unsigned storeThreshold, PdsParams *params)
+preparePdsProgram(const PdsSpec &spec, const std::vector<PdsOp> &ops,
+                  PdsScheme s, PdsRunMode mode, unsigned storeThreshold,
+                  PdsParams *params)
 {
+    PdsProgram prog = buildPdsProgram(spec, s == PdsScheme::Pmtx, ops);
     if (params)
         *params = prog.params;
     if (!pdsUsesCompiledBinary(s, mode))
@@ -108,25 +108,6 @@ prepareBuilt(PdsProgram prog, PdsScheme s, PdsRunMode mode,
         ccfg.insertCheckpointStores = false;  // recovers by re-execution
     compiler::LightWspCompiler comp(ccfg);
     return comp.compile(std::move(prog.module));
-}
-
-} // namespace
-
-compiler::CompiledProgram
-preparePdsProgram(const PdsSpec &spec, PdsScheme s, PdsRunMode mode,
-                  unsigned storeThreshold, PdsParams *params)
-{
-    return prepareBuilt(buildPdsProgram(spec, s == PdsScheme::Pmtx), s,
-                        mode, storeThreshold, params);
-}
-
-compiler::CompiledProgram
-preparePdsProgram(const PdsSpec &spec, const std::vector<PdsOp> &ops,
-                  PdsScheme s, PdsRunMode mode, unsigned storeThreshold,
-                  PdsParams *params)
-{
-    return prepareBuilt(buildPdsProgram(spec, s == PdsScheme::Pmtx, ops),
-                        s, mode, storeThreshold, params);
 }
 
 } // namespace pds

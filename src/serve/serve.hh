@@ -7,9 +7,9 @@
  * deterministic request tape — GET/PUT/DELETE/evict-scan mixes in two
  * named service profiles (a Varnish-style persistent object cache and a
  * horde-`persist`-style KV store). A request compiler lowers the tape
- * onto the pds chained hash table as an injected PdsOp tape, so the
- * identical LightIR driver, oracles, and fuzz machinery from PR 7 apply
- * unchanged to in-flight request streams.
+ * onto the pds chained hash table as an ordinary pds op tape, so the
+ * identical LightIR driver, oracles, and fuzz machinery apply unchanged
+ * to in-flight request streams.
  *
  * Latency attribution (see DESIGN.md §14 for the soundness argument):
  * the simulated server runs requests back-to-back; each op's completion
@@ -128,7 +128,7 @@ struct ServeWorkload
     ServeSpec spec;
     pds::PdsSpec pdsSpec;          ///< hash spec the tape is lowered onto
     std::vector<Request> requests;
-    std::vector<pds::PdsOp> ops;   ///< injected pds tape (>= 1 op/request)
+    std::vector<pds::PdsOp> ops;   ///< lowered pds tape (>= 1 op/request)
     /**
      * opEnd[r] = cumulative op count once request r is done: the
      * request completes when the served counter (= ServeMark value)
@@ -141,7 +141,7 @@ struct ServeWorkload
  * Generate requests from the profile mix + Zipfian keys and lower them
  * onto the pds hash structure (the request compiler). Lowering tracks
  * the live-key set so every emitted op satisfies the pds feasibility
- * invariants; PdsModel's injected-tape constructor re-asserts them.
+ * invariants; PdsModel's constructor re-asserts them.
  */
 ServeWorkload buildWorkload(const ServeSpec &spec);
 

@@ -79,25 +79,28 @@ ServeSpec::parse(const std::string &text, ServeSpec &out, std::string &err)
             return false;
         }
         std::string key = tok.substr(0, eq);
-        std::uint64_t val = 0;
-        if (!parseDecimal(std::string_view(tok).substr(eq + 1), val)) {
-            err = "malformed serve value '" + tok + "'";
-            return false;
-        }
+        std::string_view val = std::string_view(tok).substr(eq + 1);
+        // Each value must fit its own field: a wider number is an
+        // error, never a silent truncation onto another spec.
+        bool ok = false;
         if (key == "sz") {
-            spec.sizeClass = static_cast<unsigned>(val);
+            ok = parseDecimal(val, spec.sizeClass);
         } else if (key == "reqs") {
-            spec.numRequests = static_cast<unsigned>(val);
+            ok = parseDecimal(val, spec.numRequests);
         } else if (key == "ia") {
-            spec.meanIa = static_cast<unsigned>(val);
+            ok = parseDecimal(val, spec.meanIa);
         } else if (key == "burst") {
-            spec.burst = static_cast<unsigned>(val);
+            ok = parseDecimal(val, spec.burst);
         } else if (key == "sseed") {
-            spec.seed = val;
+            ok = parseDecimal(val, spec.seed);
         } else if (key == "tx") {
-            spec.opsPerTx = static_cast<unsigned>(val);
+            ok = parseDecimal(val, spec.opsPerTx);
         } else {
             err = "unknown serve key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            err = "malformed serve value '" + tok + "'";
             return false;
         }
     }
@@ -265,7 +268,7 @@ buildWorkload(const ServeSpec &spec)
     wl.pdsSpec.mix = 0;
     wl.pdsSpec.seed = spec.seed;
     wl.pdsSpec.opsPerTx = spec.opsPerTx;
-    // numOps is overridden by the injected tape; set it anyway so
+    // numOps is overridden by the lowered tape; set it anyway so
     // toString() of the pds spec is not misleading.
 
     pds::PdsParams geo = pds::pdsGeometry(wl.pdsSpec);

@@ -91,7 +91,9 @@ TEST(FuzzSpec, RejectsMalformedSpecs)
           "lwsp-fuzz:v1:wl:seed=1:shrink=4294967296",
           "lwsp-fuzz:v1:wl:seed=1:mode=single:crash=12x",
           "lwsp-fuzz:v1:wl:seed=1:mode=dbl-rec:crash=1:crash2=",
-          "lwsp-fuzz:v1:wl:seed=1:mode=dbl-drain:crash=1:drain=-1"}) {
+          "lwsp-fuzz:v1:wl:seed=1:mode=dbl-drain:crash=1:drain=-1",
+          "lwsp-fuzz:v1:wl:seed=1:mode=single:crash=48:fault=no",
+          "lwsp-fuzz:v1:wl:seed=1:mode=single:crash=48:fault=2"}) {
         err.clear();
         EXPECT_FALSE(CaseSpec::parse(bad, spec, err)) << bad;
         EXPECT_NE(err.find("bad value in"), std::string::npos)

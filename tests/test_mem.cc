@@ -62,6 +62,46 @@ TEST(MemImage, DiffInRangeFilters)
     EXPECT_EQ(diffs[0], 0x9000u);
 }
 
+// The range filter is exact: 5000 differing words outside [lo, hi) must
+// not crowd out the one inside it, for any of 64 page placements and
+// whichever was written first. Capping the whole-image diff before
+// filtering to the range would miss it.
+TEST(MemImage, DiffInRangeIsExactBehindManyOutOfRangeDiffs)
+{
+    for (bool inRangeFirst : {false, true}) {
+        for (Addr k = 0; k < 64; ++k) {
+            SCOPED_TRACE("placement " + std::to_string(k) +
+                         (inRangeFirst ? " (written first)" : ""));
+            MemImage a, b;
+            Addr lo = (0x40 + k) << MemImage::pageShift;
+            if (inRangeFirst)
+                a.write(lo + 8, 1);
+            for (Addr i = 0; i < 5000; ++i)
+                a.write(0x100000 + i * 8, i + 1);
+            if (!inRangeFirst)
+                a.write(lo + 8, 1);
+            auto diffs = a.diffInRange(b, lo, lo + 4096);
+            ASSERT_EQ(diffs.size(), 1u);
+            EXPECT_EQ(diffs[0], lo + 8);
+        }
+    }
+}
+
+TEST(MemImage, DiffIsAscendingAndCapped)
+{
+    MemImage a, b;
+    a.write(0x555000, 1);
+    b.write(0x3008, 2);
+    a.write(0x1000, 3);
+    b.write(0x1010, 4);
+    EXPECT_EQ(a.diff(b), (std::vector<Addr>{0x1000, 0x1010, 0x3008,
+                                            0x555000}));
+    EXPECT_EQ(a.diff(b, 2), (std::vector<Addr>{0x1000, 0x1010}));
+    // Range bounds: lo inclusive, hi exclusive.
+    EXPECT_EQ(a.diffInRange(b, 0x1010, 0x3008),
+              (std::vector<Addr>{0x1010}));
+}
+
 TEST(MemImage, EqualImagesHaveNoDiff)
 {
     MemImage a;

@@ -36,9 +36,7 @@ smallSpec(Kind k, unsigned ops = 48)
     return s;
 }
 
-/** Materialize a heap window as words (MemImage::diffInRange shares an
- *  internal diff cap with out-of-range addresses — never use it as an
- *  equality oracle across images whose non-heap state differs). */
+/** Materialize a heap window as words. */
 std::vector<std::uint64_t>
 heapWords(const mem::MemImage &img, Addr lo, Addr hi)
 {
@@ -78,6 +76,12 @@ TEST(PdsSpec, ToStringParseFixpoint)
     EXPECT_FALSE(PdsSpec::parse("tree,sz=1,ops=1,mix=0,pseed=1", bad, err));
     EXPECT_FALSE(PdsSpec::parse("hash,sz=1,ops=8,mix=0,pseed=1,tx=3",
                                 bad, err));
+    // A value wider than its field is rejected, not truncated onto
+    // another spec (2^32 + 1 ops would otherwise run as 1 op).
+    EXPECT_FALSE(PdsSpec::parse("hash,sz=0,ops=4294967297,mix=0,pseed=5",
+                                bad, err));
+    EXPECT_FALSE(PdsSpec::parse("hash,sz=4294967296,ops=8,mix=0,pseed=5",
+                                bad, err));
 }
 
 TEST(PdsBuilder, ModuleTextRoundTrip)
@@ -87,7 +91,9 @@ TEST(PdsBuilder, ModuleTextRoundTrip)
         for (bool pmtx : {false, true}) {
             SCOPED_TRACE(std::string(pds::kindName(k)) +
                          (pmtx ? "/pmtx" : "/plain"));
-            auto prog = pds::buildPdsProgram(smallSpec(k), pmtx);
+            PdsSpec spec = smallSpec(k);
+            auto prog =
+                pds::buildPdsProgram(spec, pmtx, pds::generateOps(spec));
             std::string text = ir::moduleToString(*prog.module);
             auto back = ir::parseModule(text);
             ir::verifyModuleOrDie(*back);
@@ -107,7 +113,8 @@ TEST(PdsShadow, CleanRunMatchesModelAllSchemes)
     setLogQuiet(true);
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         PdsSpec spec = smallSpec(k, 96);
-        pds::PdsModel model(spec);
+        auto ops = pds::generateOps(spec);
+        pds::PdsModel model(spec, ops);
         for (unsigned i = 0; i < spec.numOps; ++i)
             model.step();
         ASSERT_EQ(model.opsApplied(), spec.numOps);
@@ -117,8 +124,8 @@ TEST(PdsShadow, CleanRunMatchesModelAllSchemes)
                             PdsScheme::Pmtx}) {
             SCOPED_TRACE(std::string(pds::kindName(k)) + "/" +
                          pds::pdsSchemeName(s));
-            auto prog =
-                pds::preparePdsProgram(spec, s, pds::PdsRunMode::Perf);
+            auto prog = pds::preparePdsProgram(spec, ops, s,
+                                               pds::PdsRunMode::Perf);
             auto cfg = pds::makePdsConfig(s, pds::PdsRunMode::Perf);
             core::System sys(cfg, prog, 1);
             auto r = sys.run();
@@ -133,7 +140,7 @@ TEST(PdsShadow, CleanRunMatchesModelAllSchemes)
                 ASSERT_EQ(img.read(a), model.read(a))
                     << "word mismatch at +0x" << std::hex << (a - p.base);
             }
-            EXPECT_EQ(pds::checkSemantics(spec, img), "");
+            EXPECT_EQ(pds::checkSemantics(spec, ops, img), "");
         }
     }
 }
@@ -153,9 +160,10 @@ crashMatrixFor(PdsScheme s)
     const auto mode = pds::PdsRunMode::Recovery;
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         PdsSpec spec = smallSpec(k);
-        auto prog = pds::preparePdsProgram(spec, s, mode, 16);
+        auto ops = pds::generateOps(spec);
+        auto prog = pds::preparePdsProgram(spec, ops, s, mode, 16);
         auto cfg = pds::makePdsConfig(s, mode);
-        pds::PdsModel model(spec);
+        pds::PdsModel model(spec, ops);
         const pds::PdsParams &p = model.params();
 
         core::System golden(cfg, prog, 1);
@@ -177,8 +185,8 @@ crashMatrixFor(PdsScheme s)
             ASSERT_TRUE(victim.crashed());
 
             if (s == PdsScheme::LightWsp) {
-                EXPECT_EQ(pds::checkCrashPrefix(spec, victim.pmImage()),
-                          "");
+                EXPECT_EQ(
+                    pds::checkCrashPrefix(spec, ops, victim.pmImage()), "");
             }
             if (s == PdsScheme::Pmtx &&
                 victim.pmImage().read(p.undoCount) != 0) {
@@ -200,7 +208,8 @@ crashMatrixFor(PdsScheme s)
                 got[servedIdx] = want[servedIdx];
             }
             EXPECT_EQ(got, want);
-            EXPECT_EQ(pds::checkSemantics(spec, rec->execImage()), "");
+            EXPECT_EQ(pds::checkSemantics(spec, ops, rec->execImage()),
+                      "");
         }
         if (s == PdsScheme::Pmtx) {
             // The sweep must actually exercise the rollback path.
@@ -238,13 +247,15 @@ TEST(PdsOracle, SemanticWalkCatchesBrokenVariants)
         PdsSpec spec = smallSpec(n.k, n.ops);
         spec.mix = n.mix;
         spec.broken = 2;
-        auto prog = pds::preparePdsProgram(spec, PdsScheme::LightWsp,
+        auto ops = pds::generateOps(spec);
+        auto prog = pds::preparePdsProgram(spec, ops, PdsScheme::LightWsp,
                                            pds::PdsRunMode::Perf);
         auto cfg =
             pds::makePdsConfig(PdsScheme::LightWsp, pds::PdsRunMode::Perf);
         core::System sys(cfg, prog, 1);
         ASSERT_TRUE(sys.run().completed);
-        std::string verdict = pds::checkSemantics(spec, sys.execImage());
+        std::string verdict =
+            pds::checkSemantics(spec, ops, sys.execImage());
         EXPECT_NE(verdict, "") << "broken=2 variant passed the walk";
     }
 }
@@ -259,7 +270,8 @@ TEST(PdsOracle, PrefixOracleCatchesEarlyOpsDoneCommit)
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         PdsSpec spec = smallSpec(k);
         spec.broken = 1;
-        auto prog = pds::preparePdsProgram(spec, PdsScheme::LightWsp,
+        auto ops = pds::generateOps(spec);
+        auto prog = pds::preparePdsProgram(spec, ops, PdsScheme::LightWsp,
                                            pds::PdsRunMode::Perf, 8);
         ASSERT_TRUE(prog.stats.thresholdConverged);
         auto cfg =
@@ -273,7 +285,7 @@ TEST(PdsOracle, PrefixOracleCatchesEarlyOpsDoneCommit)
                 victim.runWithPowerFailure(gr.cycles * i / 64);
             if (vr.completed)
                 continue;
-            if (pds::checkCrashPrefix(spec, victim.pmImage()) != "")
+            if (pds::checkCrashPrefix(spec, ops, victim.pmImage()) != "")
                 ++caught;
         }
     }
@@ -291,8 +303,10 @@ TEST(PdsEngine, EventAndCycleBitIdentical)
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         SCOPED_TRACE(pds::kindName(k));
         PdsSpec spec = smallSpec(k);
-        auto prog = pds::preparePdsProgram(spec, PdsScheme::LightWsp,
-                                           pds::PdsRunMode::Perf);
+        auto ops = pds::generateOps(spec);
+        pds::PdsParams p;
+        auto prog = pds::preparePdsProgram(spec, ops, PdsScheme::LightWsp,
+                                           pds::PdsRunMode::Perf, 0, &p);
         auto cfg =
             pds::makePdsConfig(PdsScheme::LightWsp, pds::PdsRunMode::Perf);
 
@@ -307,8 +321,6 @@ TEST(PdsEngine, EventAndCycleBitIdentical)
         ASSERT_TRUE(cr.completed);
 
         EXPECT_EQ(er.cycles, cr.cycles);
-        pds::PdsModel model(spec);
-        const pds::PdsParams &p = model.params();
         EXPECT_EQ(heapWords(ev.execImage(), p.base,
                             p.base + p.footprintBytes),
                   heapWords(cy.execImage(), p.base,
@@ -324,12 +336,12 @@ TEST(PdsRecoveryProbe, WatchFiresOnFirstServedOp)
 {
     setLogQuiet(true);
     PdsSpec spec = smallSpec(Kind::Hash);
-    auto prog = pds::preparePdsProgram(spec, PdsScheme::LightWsp,
-                                       pds::PdsRunMode::Recovery);
+    auto ops = pds::generateOps(spec);
+    pds::PdsParams p;
+    auto prog = pds::preparePdsProgram(spec, ops, PdsScheme::LightWsp,
+                                       pds::PdsRunMode::Recovery, 0, &p);
     auto cfg =
         pds::makePdsConfig(PdsScheme::LightWsp, pds::PdsRunMode::Recovery);
-    pds::PdsModel model(spec);
-    const pds::PdsParams &p = model.params();
 
     core::System golden(cfg, prog, 1);
     auto gr = golden.run();
@@ -349,7 +361,7 @@ TEST(PdsRecoveryProbe, WatchFiresOnFirstServedOp)
     // complete from there.
     auto rr = rec->run();
     ASSERT_TRUE(rr.completed);
-    EXPECT_EQ(pds::checkSemantics(spec, rec->execImage()), "");
+    EXPECT_EQ(pds::checkSemantics(spec, ops, rec->execImage()), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +374,9 @@ TEST(PdsStatic, PmtxArtifactsDischargeOrWaive)
     setLogQuiet(true);
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         SCOPED_TRACE(pds::kindName(k));
-        auto built = pds::buildPdsProgram(smallSpec(k), /*pmtx=*/true);
+        PdsSpec spec = smallSpec(k);
+        auto built = pds::buildPdsProgram(spec, /*pmtx=*/true,
+                                          pds::generateOps(spec));
         compiler::CompilerConfig ccfg;
         compiler::LightWspCompiler comp(ccfg);
         auto prog = comp.compile(std::move(built.module));
@@ -382,7 +396,9 @@ TEST(PdsStatic, PmtxArtifactsDischargeOrWaive)
     // The plain builds must discharge everything outright.
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         SCOPED_TRACE(std::string(pds::kindName(k)) + "/plain");
-        auto built = pds::buildPdsProgram(smallSpec(k), /*pmtx=*/false);
+        PdsSpec spec = smallSpec(k);
+        auto built = pds::buildPdsProgram(spec, /*pmtx=*/false,
+                                          pds::generateOps(spec));
         compiler::CompilerConfig ccfg;
         compiler::LightWspCompiler comp(ccfg);
         auto prog = comp.compile(std::move(built.module));

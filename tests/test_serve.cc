@@ -124,6 +124,12 @@ TEST(ServeSpec, RoundTripsThroughString)
     EXPECT_FALSE(serve::ServeSpec::parse("squid,sz=1", bad, err));
     EXPECT_FALSE(serve::ServeSpec::parse("varnish,burst=9", bad, err));
     EXPECT_FALSE(serve::ServeSpec::parse("varnish,tx=3", bad, err));
+    // A value wider than its field is rejected, not truncated onto
+    // another spec (sz = 2^32 would otherwise run as sz=0).
+    EXPECT_FALSE(serve::ServeSpec::parse(
+        "varnish,sz=4294967296,reqs=16,sseed=3", bad, err));
+    EXPECT_FALSE(serve::ServeSpec::parse(
+        "varnish,sz=1,reqs=4294967312,sseed=3", bad, err));
 }
 
 TEST(ServeWorkload, LoweringIsFeasibleAndCoversRequests)
@@ -146,7 +152,7 @@ TEST(ServeWorkload, LoweringIsFeasibleAndCoversRequests)
         }
         for (const auto &op : wl.ops)
             EXPECT_LE(op.a, 0xffffffull);  // tape-packing key bound
-        // The injected-tape model replays the tape and asserts every
+        // The model replays the tape and asserts every
         // pds feasibility invariant; constructing it IS the check.
         pds::PdsModel model(wl.pdsSpec, wl.ops);
         EXPECT_EQ(model.spec().numOps, wl.ops.size());

@@ -51,17 +51,17 @@ smallSpec(pds::Kind k)
 struct Built
 {
     core::SystemConfig cfg;
+    std::vector<pds::PdsOp> ops;
     compiler::CompiledProgram prog;
-    pds::PdsParams params;
 };
 
 Built
 build(pds::PdsScheme scheme, const pds::PdsSpec &spec)
 {
     Built b{pds::makePdsConfig(scheme, pds::PdsRunMode::Recovery),
-            pds::preparePdsProgram(spec, scheme,
-                                   pds::PdsRunMode::Recovery),
-            pds::PdsModel(spec).params()};
+            pds::generateOps(spec), {}};
+    b.prog = pds::preparePdsProgram(spec, b.ops, scheme,
+                                    pds::PdsRunMode::Recovery);
     return b;
 }
 
@@ -248,7 +248,8 @@ TEST(Storm, FailureExactlyAtCommitTick)
                   core::RecoveryOutcome::DetectedUnrecoverable)
             << "commit-tick crash at " << t << ": " << rec.detail;
         ASSERT_TRUE(rec.sys->run().completed);
-        EXPECT_EQ(pds::checkSemantics(spec, rec.sys->execImage()), "")
+        EXPECT_EQ(pds::checkSemantics(spec, b.ops, rec.sys->execImage()),
+                  "")
             << "commit-tick crash at " << t;
     }
     EXPECT_GT(tried, 0u);
@@ -286,7 +287,8 @@ TEST(Storm, PmtxCrashMidUndoReplay)
                   core::RecoveryOutcome::DetectedUnrecoverable)
             << "mid-undo-replay crash at +" << mid << ": " << rec2.detail;
         ASSERT_TRUE(rec2.sys->run().completed);
-        EXPECT_EQ(pds::checkSemantics(spec, rec2.sys->execImage()), "")
+        EXPECT_EQ(pds::checkSemantics(spec, b.ops, rec2.sys->execImage()),
+                  "")
             << "mid-undo-replay crash at +" << mid;
     }
 }
@@ -325,7 +327,8 @@ TEST(Storm, EngineABBitIdentity)
         EXPECT_TRUE(walk.result.completed);
         segs.insert(segs.end(), walk.segmentCycles.begin(),
                     walk.segmentCycles.end());
-        EXPECT_EQ(pds::checkSemantics(spec, walk.sys->execImage()), "");
+        EXPECT_EQ(pds::checkSemantics(spec, b.ops, walk.sys->execImage()),
+                  "");
         final_img = walk.sys->pmImage();
         return segs;
     };

@@ -470,6 +470,7 @@ expectCompileEq(const compiler::CompileStats &a,
 TEST(Sweep, PrepareRunBuildsPdsAndServeSources)
 {
     const pds::PdsSpec ps = tinyPds();
+    const auto ops = pds::generateOps(ps);
     const serve::ServeWorkload wl = serve::buildWorkload(tinyServe());
     for (std::size_t i = 0; i < std::size(kPdsSchemes); ++i) {
         for (auto mode : {pds::PdsRunMode::Perf, pds::PdsRunMode::Recovery}) {
@@ -486,14 +487,16 @@ TEST(Sweep, PrepareRunBuildsPdsAndServeSources)
             expectConfigEq(run.cfg, direct, "pds " + what);
             expectCompileEq(
                 run.prog.stats,
-                pds::preparePdsProgram(ps, kPdsSchemes[i], mode).stats,
+                pds::preparePdsProgram(ps, ops, kPdsSchemes[i], mode).stats,
                 "pds " + what);
-            EXPECT_EQ(run.served, pds::PdsModel(ps).params().served);
+            EXPECT_EQ(run.served, pds::PdsModel(ps, ops).params().served);
             bool pmtx = kPdsSchemes[i] == pds::PdsScheme::Pmtx;
             EXPECT_EQ(run.footprint,
-                      pds::buildPdsProgram(ps, pmtx).params.footprintBytes)
+                      pds::buildPdsProgram(ps, pmtx, ops)
+                          .params.footprintBytes)
                 << "pds " << what;
             EXPECT_FALSE(run.serve);
+            EXPECT_EQ(run.ops.size(), ops.size());
 
             spec.workload = wl.spec.toString();
             run = harness::prepareRun(spec);
@@ -507,6 +510,7 @@ TEST(Sweep, PrepareRunBuildsPdsAndServeSources)
                       pds::PdsModel(wl.pdsSpec, wl.ops).params().served);
             ASSERT_TRUE(run.serve);
             EXPECT_EQ(run.serve->ops.size(), wl.ops.size());
+            EXPECT_EQ(run.ops.size(), wl.ops.size());
         }
     }
 

@@ -10,6 +10,7 @@
 
 #include <sstream>
 
+#include "common/stats.hh"
 #include "compiler/compiler.hh"
 #include "core/system.hh"
 #include "harness/runner.hh"
@@ -227,7 +228,7 @@ TEST(System, SlowdownOrderingAcrossSchemes)
     EXPECT_GT(psp, 1.5);  // no DRAM cache hurts badly here
 }
 
-TEST(System, DumpStatsEmitsEveryComponent)
+TEST(System, StatRegistryDumpEmitsEveryComponent)
 {
     setLogQuiet(true);
     auto w = workloads::generate(tiny());
@@ -238,8 +239,10 @@ TEST(System, DumpStatsEmitsEveryComponent)
     cfg.applySchemeDefaults();
     System sys(cfg, prog, 1);
     sys.run();
+    stats::Registry reg;
+    sys.registerStats(reg);
     std::ostringstream os;
-    sys.dumpStats(os);
+    reg.dump(os);
     std::string s = os.str();
     EXPECT_NE(s.find("core0.instsRetired"), std::string::npos);
     EXPECT_NE(s.find("core0.l1d.hits"), std::string::npos);

@@ -324,7 +324,8 @@ buildPds(unsigned num_mcs, noc::TopologyConfig topo,
     spec.opsPerTx = 2;
     PdsBuilt b{pds::makePdsConfig(pds::PdsScheme::LightWsp,
                                   pds::PdsRunMode::Recovery),
-               pds::preparePdsProgram(spec, pds::PdsScheme::LightWsp,
+               pds::preparePdsProgram(spec, pds::generateOps(spec),
+                                      pds::PdsScheme::LightWsp,
                                       pds::PdsRunMode::Recovery)};
     b.cfg.numMcs = num_mcs;
     b.cfg.topology = topo;
@@ -469,7 +470,9 @@ TEST(TreeFabric, CrashRecoveryAt16McsTree)
                   core::RecoveryOutcome::DetectedUnrecoverable)
             << res.detail;
         ASSERT_TRUE(res.sys->run().completed);
-        EXPECT_EQ(pds::checkSemantics(spec, res.sys->execImage()), "")
+        EXPECT_EQ(pds::checkSemantics(spec, pds::generateOps(spec),
+                                      res.sys->execImage()),
+                  "")
             << "crash at " << num << "/8";
     }
 }
